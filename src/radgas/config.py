@@ -16,6 +16,10 @@ CONTACT_SAFETY = 1.2
 
 MAX_DIAG_K = 6
 
+#: Largest fourth-difference filter coefficient: the filter damps the
+#: checkerboard mode by the factor 1 - 16 * coeff, which must not go negative.
+MAX_FILTER_COEFF = 1.0 / 16.0
+
 PRESET_NAMES = (
     "small-data-global",
     "no-conduction-steepening",
@@ -67,12 +71,12 @@ class RunConfig:
             problems.append(f"eps must lie in [0, 1), got {self.eps}")
         if self.kappa < 0.0 or not math.isfinite(self.kappa):
             problems.append(f"kappa must be finite and >= 0, got {self.kappa}")
-        if self.r_max <= 0.0:
-            problems.append(f"r_max must be positive, got {self.r_max}")
+        if not (0.0 < self.r_max < math.inf):
+            problems.append(f"r_max must be positive and finite, got {self.r_max}")
         if self.n_cells < 8:
             problems.append(f"n_cells must be at least 8, got {self.n_cells}")
-        if self.t_end <= 0.0:
-            problems.append(f"t_end must be positive, got {self.t_end}")
+        if not (0.0 < self.t_end < math.inf):
+            problems.append(f"t_end must be positive and finite, got {self.t_end}")
         if not (0.0 < self.cfl <= 1.0):
             problems.append(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.output_every < 1:
@@ -86,8 +90,11 @@ class RunConfig:
                 "diffusion_scheme must be one of "
                 f"{DIFFUSION_SCHEMES}, got {self.diffusion_scheme!r}"
             )
-        if self.filter_coeff < 0.0:
-            problems.append(f"filter_coeff must be >= 0, got {self.filter_coeff}")
+        if not (0.0 <= self.filter_coeff <= MAX_FILTER_COEFF):
+            problems.append(
+                f"filter_coeff must lie in [0, {MAX_FILTER_COEFF}], "
+                f"got {self.filter_coeff}"
+            )
         if not (0 <= self.diag_max_k <= MAX_DIAG_K):
             problems.append(
                 f"diag_max_k must lie in [0, {MAX_DIAG_K}], got {self.diag_max_k}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RadialGrid
-from .operators import EVEN, ODD, derivative_array, divergence_array
+from .operators import EVEN, ODD, derivative_array
 from .state import State, StateValidityError, validate
 
 
@@ -71,6 +71,26 @@ def flux_divergence(m: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return (flux[1:] - flux[:-1]) / grid.w
 
 
+def convective_rhs_arrays(
+    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array kernel of :func:`convective_rhs`: (da_dt, du_dt, dtheta_dt_conv).
+
+    It does not check the state; the caller vouches that 1 + a > 0.
+    """
+    dr = grid.dr
+    rho = 1.0 + a
+    temp = 1.0 + theta
+    da_dt = -flux_divergence(rho * u, grid)
+    du = derivative_array(u, ODD, dr)
+    dtheta = derivative_array(theta, EVEN, dr)
+    da = derivative_array(a, EVEN, dr)
+    du_dt = -(u * du + dtheta + temp / rho * da)
+    div_u = du + 2.0 * u / grid.r
+    dtheta_dt = -(u * dtheta + temp * div_u)
+    return da_dt, du_dt, dtheta_dt
+
+
 def convective_rhs(state: State, grid: RadialGrid) -> Tendency:
     """Convective tendency of a valid state (diffusion handled elsewhere)."""
     report = validate(state)
@@ -81,19 +101,7 @@ def convective_rhs(state: State, grid: RadialGrid) -> Tendency:
             f"min temperature {report.min_temperature}, "
             f"finite={report.all_finite}"
         )
-    a = state.a
-    u = state.u
-    theta = state.theta
-    dr = grid.dr
-
-    da_dt = -flux_divergence((1.0 + a) * u, grid)
-    du = derivative_array(u, ODD, dr)
-    dtheta = derivative_array(theta, EVEN, dr)
-    da = derivative_array(a, EVEN, dr)
-    du_dt = -(u * du + dtheta + (1.0 + theta) / (1.0 + a) * da)
-    div_u = divergence_array(u, grid)
-    dtheta_dt = -(u * dtheta + (1.0 + theta) * div_u)
-    return Tendency(da_dt=da_dt, du_dt=du_dt, dtheta_dt_conv=dtheta_dt)
+    return Tendency(*convective_rhs_arrays(state.a, state.u, state.theta, grid))
 
 
 def assemble_sym_system(
@@ -166,6 +174,12 @@ def characteristic_speeds(a, u, theta):
     return (u_b - c_b, u_b.copy(), u_b + c_b)
 
 
+def cfl_dt_arrays(u: np.ndarray, theta: np.ndarray, dr: float, cfl: float) -> float:
+    """Array kernel of :func:`cfl_dt`; it checks neither the state nor cfl."""
+    speed = float(np.max(np.abs(u) + np.sqrt(2.0 * (1.0 + theta))))
+    return cfl * dr / speed
+
+
 def cfl_dt(state: State, grid: RadialGrid, cfl: float) -> float:
     """Convective CFL time step cfl * dr / max(|u| + sqrt(2 (1 + theta)))."""
     cfl = float(cfl)
@@ -174,5 +188,4 @@ def cfl_dt(state: State, grid: RadialGrid, cfl: float) -> float:
     report = validate(state)
     if not report.ok:
         raise StateValidityError("cfl_dt requires a valid state")
-    speed = float(np.max(np.abs(state.u) + np.sqrt(2.0 * (1.0 + state.theta))))
-    return cfl * grid.dr / speed
+    return cfl_dt_arrays(state.u, state.theta, grid.dr, cfl)

@@ -9,8 +9,14 @@ Each conduction half step integrates kappa * lap(theta) / (1 + a)
 implicitly (backward Euler by default, Crank-Nicolson on request) with the
 1/(1 + a) coefficient frozen at the substep entry state; the tridiagonal
 system is strictly diagonally dominant for any dt > 0, so the implicit
-update is unconditionally solvable.  The symmetric composition keeps the
-splitting error at O(dt^2) when the Crank-Nicolson halves are used.
+update is unconditionally solvable.  It goes straight to LAPACK's dgtsv
+through :func:`radgas.tridiag.tridiagonal_solve`.  The symmetric
+composition keeps the splitting error at O(dt^2) when the Crank-Nicolson
+halves are used.
+
+Inside a step the fields stay plain arrays: the input state is validated
+once, every later stage is checked once on its arrays, and only the result
+is wrapped in a State.
 
 Both ends of the domain are closed: zero flux at the origin by parity and
 an insulated rigid wall at r_max.  Mass is then conserved to rounding no
@@ -34,9 +40,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig, RunSummary
+from .config import (
+    BACKWARD_EULER,
+    CRANK_NICOLSON,
+    MAX_FILTER_COEFF,
+    RunConfig,
+    RunSummary,
+)
 from .diagnostics import DiagnosticsCollector, DiagnosticsSink
-from .dynamics import cfl_dt, convective_rhs
+# The array kernels go by the names of the public functions whose jobs they
+# do, so that perfbench's per-layer tracer, which wraps integrator.cfl_dt and
+# integrator.convective_rhs, keeps attributing their time.
+from .dynamics import cfl_dt_arrays as cfl_dt
+from .dynamics import convective_rhs_arrays as convective_rhs
 from .grid import RadialGrid, build_grid
 from .operators import EVEN, ODD, ParityError, ParityField, derivative_array
 from .state import (
@@ -44,10 +60,11 @@ from .state import (
     State,
     StateValidityError,
     ValidityReport,
+    check_fields,
     make_initial_state,
     validate,
 )
-from .tridiag import TridiagonalSystem, solve_tridiagonal
+from .tridiag import tridiagonal_matvec, tridiagonal_solve
 
 
 @dataclass(frozen=True)
@@ -60,38 +77,6 @@ class StepReport:
     implicit_solve_residual: float
 
 
-def _diffusion_coefficients(
-    a_frozen: np.ndarray, grid: RadialGrid, kappa: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of M theta = kappa * lap(theta) / (1 + a) in flux form.
-
-    Zero-flux closure at both boundary faces: the origin face by even
-    symmetry, the outer face as an insulated wall.  Conductive fluxes then
-    telescope, so the update conserves the volume integral of (1 + a) theta
-    exactly.  Returns (lower, diag, upper) of M.
-    """
-    area = grid.face_area.copy()
-    area[-1] = 0.0  # insulated wall: no conductive flux through the outer face
-    c = kappa / ((1.0 + a_frozen) * grid.w * grid.dr)
-    lower = c * area[:-1]
-    upper = c * area[1:]
-    diag = -(lower + upper)
-    lower[0] = 0.0  # origin face area vanishes anyway; keep the invariant explicit
-    return lower, diag, upper
-
-
-def _apply_m(
-    theta: np.ndarray,
-    lower: np.ndarray,
-    diag: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
-    out = diag * theta
-    out[1:] += lower[1:] * theta[:-1]
-    out[:-1] += upper[:-1] * theta[1:]
-    return out
-
-
 def _diffusion_solve_arrays(
     theta_star: np.ndarray,
     a_frozen: np.ndarray,
@@ -100,27 +85,35 @@ def _diffusion_solve_arrays(
     kappa: float,
     scheme: str,
 ) -> tuple[np.ndarray, float]:
-    """Implicit conduction update; returns (theta_new, relative residual)."""
-    m_lower, m_diag, m_upper = _diffusion_coefficients(a_frozen, grid, kappa)
+    """Implicit conduction update; returns (theta_new, relative residual).
+
+    The rows of M theta = kappa * lap(theta) / (1 + a) are in flux form with
+    zero-flux closures at both boundary faces: the origin face by even
+    symmetry, the outer face as an insulated wall.  Conductive fluxes then
+    telescope, so the update conserves the volume integral of (1 + a) theta
+    exactly.  The system I - weight * M has diag = 1 + weight * (|lower| +
+    |upper|) row by row, so it is strictly diagonally dominant whenever
+    1 + a > 0; the solver's dominance guard checks that precondition.
+    """
+    area = grid.face_area.copy()
+    area[-1] = 0.0  # insulated wall: no conductive flux through the outer face
+    c = kappa / ((1.0 + a_frozen) * grid.w * grid.dr)
+    m_lower = c * area[:-1]
+    m_upper = c * area[1:]
+    m_diag = -(m_lower + m_upper)
+    m_lower[0] = 0.0  # origin face area vanishes anyway; keep the invariant explicit
     if scheme == BACKWARD_EULER:
         weight = dt
         rhs = theta_star
     elif scheme == CRANK_NICOLSON:
         weight = 0.5 * dt
-        rhs = theta_star + 0.5 * dt * _apply_m(theta_star, m_lower, m_diag, m_upper)
+        m_theta = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
+        rhs = theta_star + 0.5 * dt * m_theta
     else:
         raise ValueError(f"unknown diffusion scheme {scheme!r}")
-    system = TridiagonalSystem(
-        lower=-weight * m_lower,
-        diag=1.0 - weight * m_diag,
-        upper=-weight * m_upper,
-        rhs=rhs,
+    return tridiagonal_solve(
+        -weight * m_lower, 1.0 - weight * m_diag, -weight * m_upper, rhs
     )
-    # diag = 1 + weight*(|lower| + |upper|) row by row, so dominance holds by
-    # construction whenever 1 + a > 0; the check guards that precondition.
-    system.assert_diagonally_dominant()
-    theta_new = solve_tridiagonal(system)
-    return theta_new, system.residual(theta_new)
 
 
 def solve_diffusion(
@@ -212,76 +205,65 @@ def step(
     raising."""
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    report_in = validate(state)
-    if not report_in.ok:
+    if not 0.0 <= filter_coeff <= MAX_FILTER_COEFF:
+        raise ValueError(
+            f"filter_coeff must lie in [0, {MAX_FILTER_COEFF}], got {filter_coeff}"
+        )
+    if not validate(state).ok:
         raise StateValidityError("step requires a valid input state")
 
     kappa = state.params.kappa
+    a, u, theta = state.a, state.u, state.theta
 
-    def breach(a, u, theta, t, residual=0.0):
-        bad = State(a=a, u=u, theta=theta, t=t, params=state.params)
-        rep = StepReport(
+    def finish(a_new, u_new, theta_new, validity, residual):
+        du_dr = derivative_array(u_new, ODD, grid.dr)
+        new_state = State(
+            a=a_new, u=u_new, theta=theta_new, t=state.t + dt, params=state.params
+        )
+        return new_state, StepReport(
             dt_used=dt,
-            validity=validate(bad),
-            max_abs_du_dr=float(np.max(np.abs(derivative_array(u, ODD, grid.dr)))),
+            validity=validity,
+            max_abs_du_dr=float(np.max(np.abs(du_dr))),
             implicit_solve_residual=residual,
         )
-        return bad, rep
 
     # First conduction half step (density coefficient frozen at entry).
     residual = 0.0
-    th0 = state.theta
+    th0 = theta
     if kappa > 0.0:
         th0, residual = _diffusion_solve_arrays(
-            th0, state.a, grid, 0.5 * dt, kappa, scheme
+            theta, a, grid, 0.5 * dt, kappa, scheme
         )
         if not (np.isfinite(th0).all() and np.min(1.0 + th0) > 0.0):
-            return breach(state.a, state.u, th0, state.t + dt, residual)
-    half = State(a=state.a, u=state.u, theta=th0, t=state.t, params=state.params)
+            return finish(a, u, th0, check_fields(a, u, th0), residual)
 
     # Convective substep, stage 1: forward Euler.
-    k1 = convective_rhs(half, grid)
-    a1 = state.a + dt * k1.da_dt
-    u1 = state.u + dt * k1.du_dt
-    th1 = th0 + dt * k1.dtheta_dt_conv
-    stage1 = State(a=a1, u=u1, theta=th1, t=state.t + dt, params=state.params)
-    if not validate(stage1).ok:
-        return breach(a1, u1, th1, state.t + dt, residual)
+    da_dt, du_dt, dth_dt = convective_rhs(a, u, th0, grid)
+    a1 = a + dt * da_dt
+    u1 = u + dt * du_dt
+    th1 = th0 + dt * dth_dt
+    validity = check_fields(a1, u1, th1)
+    if not validity.ok:
+        return finish(a1, u1, th1, validity, residual)
 
     # Stage 2: average with a forward-Euler step from stage 1.
-    k2 = convective_rhs(stage1, grid)
-    a2 = 0.5 * (state.a + a1 + dt * k2.da_dt)
-    u2 = 0.5 * (state.u + u1 + dt * k2.du_dt)
-    th2 = 0.5 * (th0 + th1 + dt * k2.dtheta_dt_conv)
-    if not (
-        np.isfinite(th2).all()
-        and np.min(1.0 + a2) > 0.0
-        and np.min(1.0 + th2) > 0.0
-        and np.isfinite(a2).all()
-        and np.isfinite(u2).all()
-    ):
-        return breach(a2, u2, th2, state.t + dt, residual)
+    da_dt, du_dt, dth_dt = convective_rhs(a1, u1, th1, grid)
+    a2 = 0.5 * (a + a1 + dt * da_dt)
+    u2 = 0.5 * (u + u1 + dt * du_dt)
+    th2 = 0.5 * (th0 + th1 + dt * dth_dt)
+    validity = check_fields(a2, u2, th2)
+    if not validity.ok:
+        return finish(a2, u2, th2, validity, residual)
 
     # Second conduction half step, frozen at the post-convection density.
     if kappa > 0.0:
-        th2, res2 = _diffusion_solve_arrays(
-            th2, a2, grid, 0.5 * dt, kappa, scheme
-        )
+        th2, res2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme)
         residual = max(residual, res2)
 
     if filter_coeff > 0.0:
         a2, u2, th2 = _fourth_difference_filter(a2, u2, th2, grid, filter_coeff)
 
-    new_state = State(
-        a=a2, u=u2, theta=th2, t=state.t + dt, params=state.params
-    )
-    rep = StepReport(
-        dt_used=dt,
-        validity=validate(new_state),
-        max_abs_du_dr=float(np.max(np.abs(derivative_array(u2, ODD, grid.dr)))),
-        implicit_solve_residual=residual,
-    )
-    return new_state, rep
+    return finish(a2, u2, th2, check_fields(a2, u2, th2), residual)
 
 
 _PEAK_FIELDS = (
@@ -340,8 +322,11 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
     steps = 0
     peak_indicator_steps = record.shock_indicator
     time_tol = 1e-12 * config.t_end
+    cfl = float(config.cfl)
     while state.t < config.t_end - time_tol:
-        dt = min(cfl_dt(state, grid, config.cfl), config.t_end - state.t)
+        # No state check here: the initial state is valid by construction
+        # and every later one passed the breach check below.
+        dt = min(cfl_dt(state.u, state.theta, grid.dr, cfl), config.t_end - state.t)
         state, step_report = step(
             state,
             grid,

@@ -115,16 +115,15 @@ class ValidityReport:
     all_finite: bool
 
 
-def validate(state: State) -> ValidityReport:
-    """Check positivity of density and temperature and finiteness of fields."""
+def check_fields(a: np.ndarray, u: np.ndarray, theta: np.ndarray) -> ValidityReport:
+    """Array kernel of :func:`validate`: positivity of 1 + a and 1 + theta
+    and finiteness of the three fields."""
     finite = bool(
-        np.isfinite(state.a).all()
-        and np.isfinite(state.u).all()
-        and np.isfinite(state.theta).all()
+        np.isfinite(a).all() and np.isfinite(u).all() and np.isfinite(theta).all()
     )
     if finite:
-        min_density = float(1.0 + state.a.min())
-        min_temperature = float(1.0 + state.theta.min())
+        min_density = float(1.0 + a.min())
+        min_temperature = float(1.0 + theta.min())
     else:
         min_density = float("nan")
         min_temperature = float("nan")
@@ -135,6 +134,11 @@ def validate(state: State) -> ValidityReport:
         min_temperature=min_temperature,
         all_finite=finite,
     )
+
+
+def validate(state: State) -> ValidityReport:
+    """Check positivity of density and temperature and finiteness of fields."""
+    return check_fields(state.a, state.u, state.theta)
 
 
 def support_radius(family: str, eps: float = 0.0) -> float:

@@ -9,6 +9,7 @@ from radgas.config import (
     BACKWARD_EULER,
     CONTACT_SAFETY,
     CRANK_NICOLSON,
+    MAX_FILTER_COEFF,
     PRESET_NAMES,
     ConfigError,
     RunConfig,
@@ -158,6 +159,41 @@ class TestValidate:
 
     def test_valid_config_passes(self):
         self.base().validate()
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            # nan > 0 is False, so a nan coefficient used to switch the filter off
+            ({"filter_coeff": math.nan}, "filter_coeff"),
+            ({"filter_coeff": math.inf}, "filter_coeff"),
+            # above the 1/16 stability bound: 0.5 breaches within ten steps
+            ({"filter_coeff": 0.5}, "filter_coeff"),
+            ({"filter_coeff": 0.0625001}, "filter_coeff"),
+            # an infinite domain used to escape from build_grid as a traceback
+            ({"r_max": math.inf}, "r_max"),
+            ({"r_max": math.nan}, "r_max"),
+            # a nan horizon used to run zero steps and report time-complete
+            ({"t_end": math.nan}, "t_end"),
+        ],
+    )
+    def test_rejects_non_finite_or_unstable(self, overrides, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            self.base(**overrides).validate()
+
+    def test_filter_stability_bound_is_inclusive(self):
+        self.base(filter_coeff=MAX_FILTER_COEFF).validate()
+        assert MAX_FILTER_COEFF == 1.0 / 16.0
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("t_end = 5.0", "t_end = 5.0\nfilter_coeff = nan"),
+            ("r_max = 40.0", "r_max = inf"),
+        ],
+    )
+    def test_parse_rejects_non_finite(self, old, new):
+        with pytest.raises(ConfigError):
+            parse_config(MINIMAL.replace(old, new))
 
     def test_contact_bound_formula(self):
         config = self.base()

@@ -184,6 +184,15 @@ class TestStep:
             with pytest.raises(ValueError):
                 step(state, grid, dt)
 
+    def test_rejects_bad_filter_coeff(self):
+        # nan used to disable the filter silently; above 1/16 it is unstable
+        grid = build_grid(10.0, 100)
+        state = make_initial_state(grid, "gaussian-bump", 1e-3)
+        for coeff in (math.nan, math.inf, 0.5, -0.01):
+            with pytest.raises(ValueError, match="filter_coeff"):
+                step(state, grid, 0.01, filter_coeff=coeff)
+        step(state, grid, 0.01, filter_coeff=1.0 / 16.0)
+
     def test_rejects_invalid_input_state(self):
         grid = build_grid(10.0, 100)
         state = State(

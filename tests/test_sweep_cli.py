@@ -158,6 +158,28 @@ class TestCliMain:
         assert code == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate-config", "run"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("r_max = 12.0", "r_max = inf"),
+            ("cfl = 0.25", "cfl = 0.25\nfilter_coeff = nan"),
+            ("cfl = 0.25", "cfl = 0.25\nfilter_coeff = 0.5"),
+        ],
+    )
+    def test_non_finite_or_unstable_value_is_config_error(
+        self, tmp_path, capsys, verb, old, new
+    ):
+        path = self.write(tmp_path, BASE_TEXT.replace(old, new))
+        out_dir = tmp_path / "out"
+        if verb == "run":
+            code = main(["run", "--config", path, "--out", str(out_dir)])
+        else:
+            code = main(["validate-config", path])
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code = main(["validate-config", str(tmp_path / "absent.txt")])
         assert code == 3

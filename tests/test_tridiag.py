@@ -37,7 +37,7 @@ def test_matches_dense_solve(n):
 @pytest.mark.parametrize("n", [3, 17, 128])
 def test_thomas_agrees_with_banded_solver(n):
     # two independent routes to the same answer: the pure-Python elimination
-    # and the banded LAPACK path must agree on the same system
+    # and the LAPACK path must agree on the same system
     rng = np.random.default_rng(7 + n)
     sys = random_dominant_system(rng, n)
     x_banded = solve_tridiagonal(sys)
