@@ -15,20 +15,9 @@ from .state import (
     support_radius,
     validate,
 )
-from .operators import (
-    EVEN,
-    ODD,
-    ParityError,
-    ParityField,
-    d_dr,
-    d_dr_k,
-    field_from_function,
-    radial_div,
-    radial_laplacian,
-)
+from .operators import EVEN, ODD
 from .dynamics import (
     SymSystem,
-    Tendency,
     assemble_sym_system,
     cfl_dt,
     characteristic_speeds,
@@ -36,7 +25,7 @@ from .dynamics import (
     flux_divergence,
     sound_speed,
 )
-from .tridiag import TridiagonalSystem, solve_tridiagonal, thomas_solve
+from .tridiag import TridiagonalSystem, solve_tridiagonal
 from .diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
@@ -46,7 +35,6 @@ from .diagnostics import (
     entropy_functionals,
     lyapunov_functional,
     shock_indicator,
-    sobolev_energies,
     taylor_remainder,
 )
 from .config import (
@@ -75,15 +63,7 @@ __all__ = [
     "validate",
     "EVEN",
     "ODD",
-    "ParityError",
-    "ParityField",
-    "d_dr",
-    "d_dr_k",
-    "field_from_function",
-    "radial_div",
-    "radial_laplacian",
     "SymSystem",
-    "Tendency",
     "assemble_sym_system",
     "cfl_dt",
     "characteristic_speeds",
@@ -92,7 +72,6 @@ __all__ = [
     "sound_speed",
     "TridiagonalSystem",
     "solve_tridiagonal",
-    "thomas_solve",
     "DiagnosticsCollector",
     "DiagnosticsRecord",
     "DiagnosticsSink",
@@ -101,7 +80,6 @@ __all__ = [
     "entropy_functionals",
     "lyapunov_functional",
     "shock_indicator",
-    "sobolev_energies",
     "taylor_remainder",
     "BACKWARD_EULER",
     "CRANK_NICOLSON",

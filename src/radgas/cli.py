@@ -7,8 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, RunSummary, parse_config, preset
-from .integrator import run
-from .output import BreachDumpSink, CompositeSink, CsvSink, write_summary
+from .output import run_to_dir
 from .sweep import SWEEP_AXES, sweep
 
 EXIT_OK = 0
@@ -65,18 +64,6 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _run_to_dir(config: RunConfig, out_dir: Path) -> RunSummary:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_sink = CsvSink(out_dir / "timeseries.csv", config.diag_max_k)
-    sink = CompositeSink(csv_sink, BreachDumpSink(out_dir / "state_dump.npz"))
-    try:
-        summary = run(config, sink)
-    finally:
-        csv_sink.close()
-    write_summary(summary, out_dir / "summary.json")
-    return summary
-
-
 def _report(summary: RunSummary) -> None:
     print(
         f"[{summary.run_id}] {summary.termination_reason} "
@@ -92,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             config = _load_config(args.config)
-            summary = _run_to_dir(config, Path(args.out))
+            summary = run_to_dir(config, args.out)
             _report(summary)
             return _REASON_CODES.get(summary.termination_reason, EXIT_FAILURE)
 
@@ -105,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
                 out_dir = Path(args.out)
                 if len(configs) > 1:
                     out_dir = out_dir / config.run_id
-                summary = _run_to_dir(config, out_dir)
+                summary = run_to_dir(config, out_dir)
                 _report(summary)
                 worst = max(
                     worst, _REASON_CODES.get(summary.termination_reason, EXIT_FAILURE)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .diagnostics import MAX_DIAG_ORDER
+from .grid import MIN_CELLS
 from .state import INIT_FAMILIES, support_radius
 
 BACKWARD_EULER = "backward-euler"
@@ -13,8 +15,6 @@ DIFFUSION_SCHEMES = (BACKWARD_EULER, CRANK_NICOLSON)
 
 #: Safety factor on the signal-speed estimate in the boundary-contact bound.
 CONTACT_SAFETY = 1.2
-
-MAX_DIAG_K = 6
 
 #: Largest fourth-difference filter coefficient: the filter damps the
 #: checkerboard mode by the factor 1 - 16 * coeff, which must not go negative.
@@ -73,8 +73,8 @@ class RunConfig:
             problems.append(f"kappa must be finite and >= 0, got {self.kappa}")
         if not (0.0 < self.r_max < math.inf):
             problems.append(f"r_max must be positive and finite, got {self.r_max}")
-        if self.n_cells < 8:
-            problems.append(f"n_cells must be at least 8, got {self.n_cells}")
+        if self.n_cells < MIN_CELLS:
+            problems.append(f"n_cells must be at least {MIN_CELLS}, got {self.n_cells}")
         if not (0.0 < self.t_end < math.inf):
             problems.append(f"t_end must be positive and finite, got {self.t_end}")
         if not (0.0 < self.cfl <= 1.0):
@@ -95,9 +95,9 @@ class RunConfig:
                 f"filter_coeff must lie in [0, {MAX_FILTER_COEFF}], "
                 f"got {self.filter_coeff}"
             )
-        if not (0 <= self.diag_max_k <= MAX_DIAG_K):
+        if not (0 <= self.diag_max_k <= MAX_DIAG_ORDER):
             problems.append(
-                f"diag_max_k must lie in [0, {MAX_DIAG_K}], got {self.diag_max_k}"
+                f"diag_max_k must lie in [0, {MAX_DIAG_ORDER}], got {self.diag_max_k}"
             )
         if not problems and self.init_family in INIT_FAMILIES:
             bound = self.contact_bound()
@@ -244,14 +244,6 @@ def preset(name: str) -> RunConfig | list[RunConfig]:
     return config
 
 
-TERMINATION_REASONS = (
-    "time-complete",
-    "positivity-breach",
-    "boundary-contact",
-    "error",
-)
-
-
 @dataclass(frozen=True)
 class RunSummary:
     """End-of-run report, produced for every run including aborted ones.
@@ -260,7 +252,7 @@ class RunSummary:
     value it attained over the emitted records; the shock indicator entry is
     tracked per step rather than per record so transient gradient spikes
     between output times are not missed.  ``error`` is None except for runs
-    that failed with an unexpected exception inside a sweep.
+    that failed with an unexpected exception (see ``output.run_to_dir``).
     """
 
     run_id: str

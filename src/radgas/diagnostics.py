@@ -54,7 +54,7 @@ class DiagnosticsSink:
 
 
 class ListSink(DiagnosticsSink):
-    """Collect records in memory (used by tests and the sweep driver)."""
+    """Collect records in memory, and the breached state if there is one."""
 
     def __init__(self) -> None:
         self.records: list[DiagnosticsRecord] = []
@@ -246,22 +246,6 @@ class SobolevAccumulator:
     def e_k2(self) -> tuple[float, ...]:
         totals = np.cumsum(self._int_au)
         return tuple(float(v) for v in totals)
-
-
-def sobolev_energies(
-    history: list[State] | tuple[State, ...],
-    grid: RadialGrid,
-    max_k: int,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Fold a time-ordered state history through a fresh accumulator.
-
-    Returns (e_k1, e_k2) with e_k1 indexed by k = 0..max_k and e_k2 by
-    k = 1..max_k.
-    """
-    acc = SobolevAccumulator(grid, max_k)
-    for state in history:
-        acc.add(state)
-    return acc.e_k1, acc.e_k2
 
 
 @dataclass

@@ -29,15 +29,6 @@ from .state import State, StateValidityError, validate
 
 
 @dataclass(frozen=True)
-class Tendency:
-    """Convective time derivatives of the three fields."""
-
-    da_dt: np.ndarray
-    du_dt: np.ndarray
-    dtheta_dt_conv: np.ndarray
-
-
-@dataclass(frozen=True)
 class SymSystem:
     """Symmetrized quasilinear form A0 q_t + sum_j Aj d_j q = F.
 
@@ -74,7 +65,7 @@ def flux_divergence(m: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def convective_rhs_arrays(
     a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array kernel of :func:`convective_rhs`: (da_dt, du_dt, dtheta_dt_conv).
+    """Array kernel of :func:`convective_rhs`: (da_dt, du_dt, dtheta_dt).
 
     It does not check the state; the caller vouches that 1 + a > 0.
     """
@@ -91,8 +82,11 @@ def convective_rhs_arrays(
     return da_dt, du_dt, dtheta_dt
 
 
-def convective_rhs(state: State, grid: RadialGrid) -> Tendency:
-    """Convective tendency of a valid state (diffusion handled elsewhere)."""
+def convective_rhs(
+    state: State, grid: RadialGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convective tendency (da_dt, du_dt, dtheta_dt) of a valid state;
+    conduction is handled elsewhere."""
     report = validate(state)
     if not report.ok:
         raise StateValidityError(
@@ -101,7 +95,7 @@ def convective_rhs(state: State, grid: RadialGrid) -> Tendency:
             f"min temperature {report.min_temperature}, "
             f"finite={report.all_finite}"
         )
-    return Tendency(*convective_rhs_arrays(state.a, state.u, state.theta, grid))
+    return convective_rhs_arrays(state.a, state.u, state.theta, grid)
 
 
 def assemble_sym_system(
@@ -167,7 +161,7 @@ def characteristic_speeds(a, u, theta):
             f"min(1+a)={float(np.min(1.0 + a))}, "
             f"min(1+theta)={float(np.min(1.0 + theta))}"
         )
-    c = np.sqrt(2.0 * (1.0 + theta))
+    c = sound_speed(theta)
     if u.ndim == 0 and theta.ndim == 0:
         return (float(u - c), float(u), float(u + c))
     u_b, c_b = np.broadcast_arrays(u, c)
@@ -176,7 +170,7 @@ def characteristic_speeds(a, u, theta):
 
 def cfl_dt_arrays(u: np.ndarray, theta: np.ndarray, dr: float, cfl: float) -> float:
     """Array kernel of :func:`cfl_dt`; it checks neither the state nor cfl."""
-    speed = float(np.max(np.abs(u) + np.sqrt(2.0 * (1.0 + theta))))
+    speed = float(np.max(np.abs(u) + sound_speed(theta)))
     return cfl * dr / speed
 
 

@@ -27,11 +27,6 @@ class RadialGrid:
     w: np.ndarray
     face_area: np.ndarray
 
-    @property
-    def ball_volume(self) -> float:
-        """Volume of the computational ball, (4 pi / 3) * r_max^3."""
-        return 4.0 * np.pi / 3.0 * self.r_max**3
-
 
 def build_grid(r_max: float, n_cells: int) -> RadialGrid:
     """Build a uniform cell-centered radial grid.

@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import (
     BACKWARD_EULER,
-    CRANK_NICOLSON,
+    DIFFUSION_SCHEMES,
     MAX_FILTER_COEFF,
     RunConfig,
     RunSummary,
@@ -54,7 +54,7 @@ from .diagnostics import DiagnosticsCollector, DiagnosticsSink
 from .dynamics import cfl_dt_arrays as cfl_dt
 from .dynamics import convective_rhs_arrays as convective_rhs
 from .grid import RadialGrid, build_grid
-from .operators import EVEN, ODD, ParityError, ParityField, derivative_array
+from .operators import ODD, derivative_array
 from .state import (
     PhysParams,
     State,
@@ -77,6 +77,15 @@ class StepReport:
     implicit_solve_residual: float
 
 
+def _check_scheme(scheme: str) -> None:
+    # Checked on entry: with kappa = 0 the conduction solve never runs, so
+    # it cannot be the place that rejects an unknown scheme.
+    if scheme not in DIFFUSION_SCHEMES:
+        raise ValueError(
+            f"unknown diffusion scheme {scheme!r}; expected one of {DIFFUSION_SCHEMES}"
+        )
+
+
 def _diffusion_solve_arrays(
     theta_star: np.ndarray,
     a_frozen: np.ndarray,
@@ -94,6 +103,7 @@ def _diffusion_solve_arrays(
     exactly.  The system I - weight * M has diag = 1 + weight * (|lower| +
     |upper|) row by row, so it is strictly diagonally dominant whenever
     1 + a > 0; the solver's dominance guard checks that precondition.
+    The caller has checked that ``scheme`` is one of DIFFUSION_SCHEMES.
     """
     area = grid.face_area.copy()
     area[-1] = 0.0  # insulated wall: no conductive flux through the outer face
@@ -105,54 +115,42 @@ def _diffusion_solve_arrays(
     if scheme == BACKWARD_EULER:
         weight = dt
         rhs = theta_star
-    elif scheme == CRANK_NICOLSON:
+    else:
         weight = 0.5 * dt
         m_theta = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
         rhs = theta_star + 0.5 * dt * m_theta
-    else:
-        raise ValueError(f"unknown diffusion scheme {scheme!r}")
     return tridiagonal_solve(
         -weight * m_lower, 1.0 - weight * m_diag, -weight * m_upper, rhs
     )
 
 
 def solve_diffusion(
-    theta_star: ParityField | np.ndarray,
-    a: ParityField | np.ndarray,
+    theta_star: np.ndarray,
+    a: np.ndarray,
     grid: RadialGrid,
     dt: float,
     scheme: str = BACKWARD_EULER,
     kappa: float = 1.0,
-) -> ParityField:
+) -> np.ndarray:
     """Advance theta through the conduction term over one implicit step.
 
     theta_star is the post-convection temperature field and ``a`` the frozen
-    density perturbation entering the 1/(1 + a) coefficient.  Both even.
+    density perturbation entering the 1/(1 + a) coefficient; both are even
+    across the origin.  Returns the new temperature field.
     """
-    if isinstance(theta_star, ParityField):
-        if theta_star.parity != EVEN:
-            raise ParityError("solve_diffusion expects an even temperature field")
-        theta_values = theta_star.values
-    else:
-        theta_values = np.asarray(theta_star, dtype=float)
-    if isinstance(a, ParityField):
-        if a.parity != EVEN:
-            raise ParityError("solve_diffusion expects an even density field")
-        a_values = a.values
-    else:
-        a_values = np.asarray(a, dtype=float)
+    theta_star = np.asarray(theta_star, dtype=float)
+    a = np.asarray(a, dtype=float)
+    _check_scheme(scheme)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if np.min(1.0 + a_values) <= 0.0:
+    if np.min(1.0 + a) <= 0.0:
         raise StateValidityError("solve_diffusion requires 1 + a > 0")
     if kappa == 0.0:
-        return ParityField(values=theta_values, parity=EVEN)
-    theta_new, _ = _diffusion_solve_arrays(
-        theta_values, a_values, grid, dt, kappa, scheme
-    )
-    return ParityField(values=theta_new, parity=EVEN)
+        return theta_star.copy()
+    theta_new, _ = _diffusion_solve_arrays(theta_star, a, grid, dt, kappa, scheme)
+    return theta_new
 
 
 def _fourth_difference_filter(
@@ -205,6 +203,7 @@ def step(
     raising."""
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_scheme(scheme)
     if not 0.0 <= filter_coeff <= MAX_FILTER_COEFF:
         raise ValueError(
             f"filter_coeff must lie in [0, {MAX_FILTER_COEFF}], got {filter_coeff}"

@@ -1,89 +1,30 @@
-"""Second-order finite-difference operators on the cell-centered radial mesh.
+"""Second-order radial derivative kernel on the cell-centered mesh.
 
-Every radial profile carries a parity tag: fields that extend evenly across
-the origin (scalars such as a and theta) or oddly (the radial velocity
-component).  Stencils near r = 0 are closed by parity reflection, which is
-exact for data of the declared parity because the first cell centers mirror
-across the origin.  At the outer edge the first-derivative and face-gradient
-stencils switch to one-sided second-order forms, so the operators stay
-O(dr^2) in the interior sup norm for smooth fields that do not vanish at
-r_max.  The Laplacian is assembled in conservative flux form: its
-volume-weighted sum telescopes to the outer-boundary flux exactly.
+Fields extend across the origin either evenly (scalars such as a and theta)
+or oddly (the radial velocity component); the caller passes that parity to
+the kernel.  The stencil near r = 0 is closed by parity reflection, which is
+exact for data of the given parity because the first cell centers mirror
+across the origin.  At the outer edge it switches to a one-sided
+second-order form, so the derivative stays O(dr^2) in the interior sup norm
+for smooth fields that do not vanish at r_max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
-
-from .grid import RadialGrid
 
 EVEN = "even"
 ODD = "odd"
 PARITIES = (EVEN, ODD)
 
-MAX_DERIVATIVE_ORDER = 6
-
-
-class ParityError(ValueError):
-    """Raised when a field's parity tag is inconsistent with its use."""
-
 
 def flip_parity(parity: str) -> str:
+    """Parity of the derivative of a field with the given parity."""
     if parity == EVEN:
         return ODD
     if parity == ODD:
         return EVEN
-    raise ParityError(f"unknown parity {parity!r}; expected one of {PARITIES}")
-
-
-@dataclass(frozen=True)
-class ParityField:
-    """A 1-D radial profile together with its parity across the origin."""
-
-    values: np.ndarray
-    parity: str
-
-    def __post_init__(self) -> None:
-        if self.parity not in PARITIES:
-            raise ParityError(
-                f"parity must be one of {PARITIES}, got {self.parity!r}"
-            )
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError(f"values must be 1-D, got ndim={arr.ndim}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def field_from_function(
-    grid: RadialGrid,
-    fn: Callable[[np.ndarray], np.ndarray],
-    parity: str,
-    check: bool = True,
-) -> ParityField:
-    """Sample fn on the cell centers and tag it with the declared parity.
-
-    With check=True the declaration is verified by evaluating fn at the
-    negated radii: an even field must satisfy fn(-r) == fn(r) and an odd one
-    fn(-r) == -fn(r).  A cubic profile declared even, for example, is
-    rejected here rather than silently mis-differentiated later.
-    """
-    if parity not in PARITIES:
-        raise ParityError(f"parity must be one of {PARITIES}, got {parity!r}")
-    values = np.asarray(fn(grid.r), dtype=float)
-    if check:
-        sign = 1.0 if parity == EVEN else -1.0
-        mirrored = np.asarray(fn(-grid.r), dtype=float)
-        scale = np.max(np.abs(values)) + 1e-300
-        if not np.allclose(mirrored, sign * values, rtol=1e-9, atol=1e-12 * scale):
-            raise ParityError(
-                f"profile is not {parity} across the origin "
-                "(fn(-r) does not match the declared reflection)"
-            )
-    return ParityField(values=values, parity=parity)
+    raise ValueError(f"unknown parity {parity!r}; expected one of {PARITIES}")
 
 
 def derivative_array(values: np.ndarray, parity: str, dr: float) -> np.ndarray:
@@ -97,87 +38,3 @@ def derivative_array(values: np.ndarray, parity: str, dr: float) -> np.ndarray:
     out[0] = (values[1] - sign * values[0]) / (2.0 * dr)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
     return out
-
-
-def divergence_array(u_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Radial divergence du/dr + 2u/r of an odd velocity profile."""
-    return derivative_array(u_values, ODD, grid.dr) + 2.0 * u_values / grid.r
-
-
-def laplacian_array(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Radial Laplacian (1/r^2) d/dr (r^2 df/dr) in conservative flux form.
-
-    Face gradients are two-point differences.  Both boundary faces carry
-    zero flux: the origin face by even symmetry, the outer face as an
-    insulated wall.  The w-weighted sum of the result therefore telescopes
-    to zero identically, conserving the cell integral of the field.
-    """
-    n = values.shape[0]
-    dr = grid.dr
-    g = np.empty(n + 1)
-    g[0] = 0.0
-    g[1:n] = (values[1:] - values[:-1]) / dr
-    g[n] = 0.0
-    flux = grid.face_area * g
-    return (flux[1:] - flux[:-1]) / grid.w
-
-
-def derivative_k_array(
-    values: np.ndarray, parity: str, grid: RadialGrid, k: int
-) -> np.ndarray:
-    """Apply the first-derivative kernel k times, flipping parity each time."""
-    out = values
-    p = parity
-    for _ in range(k):
-        out = derivative_array(out, p, grid.dr)
-        p = flip_parity(p)
-    return out
-
-
-def d_dr(f: ParityField, grid: RadialGrid) -> ParityField:
-    """First radial derivative; the output parity is flipped."""
-    _check_length(f, grid)
-    return ParityField(
-        values=derivative_array(f.values, f.parity, grid.dr),
-        parity=flip_parity(f.parity),
-    )
-
-
-def radial_div(u: ParityField, grid: RadialGrid) -> ParityField:
-    """Divergence du/dr + 2u/r of an odd field; the result is even."""
-    _check_length(u, grid)
-    if u.parity != ODD:
-        raise ParityError("radial_div expects an odd field (a velocity profile)")
-    return ParityField(values=divergence_array(u.values, grid), parity=EVEN)
-
-
-def radial_laplacian(f: ParityField, grid: RadialGrid) -> ParityField:
-    """Conservative-form radial Laplacian of an even field; the result is even."""
-    _check_length(f, grid)
-    if f.parity != EVEN:
-        raise ParityError("radial_laplacian expects an even field")
-    return ParityField(values=laplacian_array(f.values, grid), parity=EVEN)
-
-
-def d_dr_k(f: ParityField, grid: RadialGrid, k: int) -> ParityField:
-    """k-th radial derivative, 0 <= k <= MAX_DERIVATIVE_ORDER."""
-    k = int(k)
-    if k < 0 or k > MAX_DERIVATIVE_ORDER:
-        raise ValueError(
-            f"derivative order must lie in [0, {MAX_DERIVATIVE_ORDER}], got {k}"
-        )
-    _check_length(f, grid)
-    parity = f.parity
-    for _ in range(k):
-        parity = flip_parity(parity)
-    return ParityField(
-        values=derivative_k_array(f.values, f.parity, grid, k), parity=parity
-    )
-
-
-def _check_length(f: ParityField, grid: RadialGrid) -> None:
-    if f.values.shape[0] != grid.n_cells:
-        raise ValueError(
-            f"field length {f.values.shape[0]} does not match grid "
-            f"n_cells={grid.n_cells}"
-        )

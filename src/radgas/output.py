@@ -1,16 +1,17 @@
-"""Timeseries CSV and summary JSON emission with round-trip-exact floats."""
+"""Run directories: timeseries CSV and summary JSON with round-trip-exact floats."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import traceback
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .config import RunSummary
+from .config import RunConfig, RunSummary
 from .diagnostics import DiagnosticsRecord, DiagnosticsSink
+from .integrator import run
 from .state import State
 
 _SCALAR_COLUMNS = (
@@ -94,20 +95,34 @@ class CompositeSink(DiagnosticsSink):
             sink.on_breach(state, report)
 
 
-def emit_timeseries(
-    records: Iterable[DiagnosticsRecord],
-    path: str | Path,
-    max_k: int,
-    summary: RunSummary | None = None,
-) -> None:
-    """Write a batch of records as CSV; optionally write the sibling summary."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(timeseries_header(max_k) + "\n")
-        for record in records:
-            fh.write(format_record(record) + "\n")
-    if summary is not None:
-        write_summary(summary, path.with_name("summary.json"))
+def run_to_dir(config: RunConfig, out_dir: str | Path | None) -> RunSummary:
+    """Run one config and write its run directory.
+
+    out_dir receives timeseries.csv, summary.json and, on a positivity
+    breach, state_dump.npz; with out_dir None nothing is written.  An
+    unexpected exception becomes a summary with termination_reason "error"
+    and the error text, written like any other summary.
+    """
+    directory = None if out_dir is None else Path(out_dir)
+    try:
+        if directory is None:
+            return run(config)
+        directory.mkdir(parents=True, exist_ok=True)
+        with CsvSink(directory / "timeseries.csv", config.diag_max_k) as csv_sink:
+            dump = BreachDumpSink(directory / "state_dump.npz")
+            summary = run(config, CompositeSink(csv_sink, dump))
+    except Exception as exc:  # noqa: BLE001 - a failed run still gets a summary
+        summary = RunSummary(
+            run_id=config.run_id,
+            termination_reason="error",
+            steps=0,
+            t_final=0.0,
+            wall_clock_seconds=0.0,
+            error="".join(traceback.format_exception_only(type(exc), exc)).strip(),
+        )
+    if directory is not None and directory.is_dir():
+        write_summary(summary, directory / "summary.json")
+    return summary
 
 
 def write_summary(summary: RunSummary, path: str | Path) -> None:
@@ -118,15 +133,3 @@ def write_summary(summary: RunSummary, path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def read_timeseries(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a timeseries CSV back into (column names, row array)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [
-            [float(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return header, np.asarray(rows)

@@ -8,7 +8,7 @@ extend evenly across the origin while u extends oddly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -80,26 +80,6 @@ class State:
                 f"a={self.a.shape}, u={self.u.shape}, theta={self.theta.shape}"
             )
         object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def n_cells(self) -> int:
-        return self.a.shape[0]
-
-    def with_fields(
-        self,
-        a: np.ndarray | None = None,
-        u: np.ndarray | None = None,
-        theta: np.ndarray | None = None,
-        t: float | None = None,
-    ) -> "State":
-        """Return a copy with the given fields replaced."""
-        return replace(
-            self,
-            a=self.a if a is None else a,
-            u=self.u if u is None else u,
-            theta=self.theta if theta is None else theta,
-            t=self.t if t is None else t,
-        )
 
 
 @dataclass(frozen=True)

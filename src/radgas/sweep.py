@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .config import ConfigError, RunConfig, RunSummary
-from .integrator import run
-from .output import BreachDumpSink, CompositeSink, CsvSink, write_summary
+from .output import run_to_dir
 
 SWEEP_AXES = ("eps", "kappa", "n_cells")
 
@@ -19,32 +17,6 @@ def _format_value(axis: str, value: float | int) -> str:
     if axis == "n_cells":
         return str(int(value))
     return repr(float(value))
-
-
-def _execute_single(config: RunConfig, out_dir: str | None) -> RunSummary:
-    """Run one sweep member; unexpected failures become an error summary."""
-    try:
-        if out_dir is None:
-            return run(config)
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_sink = CsvSink(directory / "timeseries.csv", config.diag_max_k)
-        sink = CompositeSink(csv_sink, BreachDumpSink(directory / "state_dump.npz"))
-        try:
-            summary = run(config, sink)
-        finally:
-            csv_sink.close()
-        write_summary(summary, directory / "summary.json")
-        return summary
-    except Exception as exc:  # noqa: BLE001 - isolate per-run failures
-        return RunSummary(
-            run_id=config.run_id,
-            termination_reason="error",
-            steps=0,
-            t_final=0.0,
-            wall_clock_seconds=0.0,
-            error="".join(traceback.format_exception_only(type(exc), exc)).strip(),
-        )
 
 
 def sweep(
@@ -69,6 +41,8 @@ def sweep(
 
     jobs: list[tuple[RunConfig, str | None]] = []
     for value in values:
+        if axis == "n_cells" and not float(value).is_integer():
+            raise ConfigError(f"n_cells values must be integers, got {value!r}")
         cast = int(value) if axis == "n_cells" else float(value)
         run_id = f"{base.run_id}-{axis}-{_format_value(axis, cast)}"
         config = replace(base, **{axis: cast}, run_id=run_id)
@@ -79,7 +53,7 @@ def sweep(
     if not jobs:
         return []
     if parallelism == 1 or len(jobs) == 1:
-        return [_execute_single(config, out_dir) for config, out_dir in jobs]
+        return [run_to_dir(config, out_dir) for config, out_dir in jobs]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(_execute_single, c, d) for c, d in jobs]
+        futures = [pool.submit(run_to_dir, c, d) for c, d in jobs]
         return [future.result() for future in futures]

@@ -4,9 +4,7 @@
 diagonals and the right-hand side as plain arrays, checks strict diagonal
 dominance and finiteness, calls LAPACK's ``dgtsv`` and returns the solution
 with its relative residual.  The conduction half steps call it directly;
-:func:`solve_tridiagonal` calls it for a :class:`TridiagonalSystem`.  A plain
-Thomas elimination is kept alongside it as an independent reference
-implementation, and the test suite cross-checks both against dense solves.
+:func:`solve_tridiagonal` calls it for a :class:`TridiagonalSystem`.
 """
 
 from __future__ import annotations
@@ -70,13 +68,10 @@ def tridiagonal_solve(
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """System A x = rhs with A tridiagonal.
+    """System A x = rhs with A tridiagonal, the argument of solve_tridiagonal.
 
     ``lower[i]`` multiplies x[i-1] (lower[0] is unused and must be 0) and
     ``upper[i]`` multiplies x[i+1] (upper[-1] is unused and must be 0).
-    The heat-conduction assembly produces rows with diag = 1 + dt * c and
-    |lower| + |upper| <= diag - 1, i.e. strict diagonal dominance, which
-    makes pivot-free elimination safe.
     """
 
     lower: np.ndarray
@@ -97,43 +92,8 @@ class TridiagonalSystem:
         if self.lower[0] != 0.0 or self.upper[-1] != 0.0:
             raise ValueError("lower[0] and upper[-1] must be zero")
 
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-    def assert_diagonally_dominant(self) -> None:
-        _dominance_slack(self.lower, self.diag, self.upper)
-
-    def residual(self, x: np.ndarray) -> float:
-        """Relative sup-norm residual |A x - rhs| / max(|rhs|, 1)."""
-        ax = tridiagonal_matvec(self.lower, self.diag, self.upper, x)
-        scale = max(float(np.max(np.abs(self.rhs))), 1.0)
-        return float(np.max(np.abs(ax - self.rhs))) / scale
-
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """Solve the system through :func:`tridiagonal_solve`."""
     x, _ = tridiagonal_solve(system.lower, system.diag, system.upper, system.rhs)
-    return x
-
-
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Reference Thomas elimination (forward sweep, back substitution)."""
-    system.assert_diagonally_dominant()
-    n = system.n
-    lower = system.lower
-    diag = system.diag
-    upper = system.upper
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = system.rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (system.rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
     return x

@@ -24,8 +24,9 @@ def test_cell_volumes_telescope_to_ball_volume():
     # the volume weights are exact sphere-shell volumes, so their sum
     # telescopes to the volume of the full ball with no quadrature error
     g = build_grid(r_max=7.3, n_cells=97)
-    assert g.w.sum() == pytest.approx(g.ball_volume, rel=1e-15)
-    assert g.ball_volume == pytest.approx(4.0 / 3.0 * np.pi * 7.3**3, rel=1e-15)
+    ball_volume = 4.0 * np.pi / 3.0 * g.r_max**3
+    assert g.w.sum() == pytest.approx(ball_volume, rel=1e-15)
+    assert ball_volume == pytest.approx(4.0 / 3.0 * np.pi * 7.3**3, rel=1e-15)
 
 
 def test_cell_volume_matches_quadrature():

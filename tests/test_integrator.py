@@ -1,5 +1,6 @@
 """Time stepping: implicit conduction, the split step and full runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig
 from radgas.diagnostics import ListSink
 from radgas.grid import build_grid
 from radgas.integrator import _boundary_contact, run, solve_diffusion, step
-from radgas.operators import EVEN, ODD, ParityError, ParityField
 from radgas.state import PhysParams, State, StateValidityError, make_initial_state
 
 SCHEMES = (BACKWARD_EULER, CRANK_NICOLSON)
@@ -41,8 +41,7 @@ class TestSolveDiffusion:
         grid = build_grid(8.0, 160)
         zero = np.zeros(grid.n_cells)
         out = solve_diffusion(zero, zero, grid, dt=0.05, scheme=scheme)
-        assert np.array_equal(out.values, zero)
-        assert out.parity == EVEN
+        assert np.array_equal(out, zero)
 
     def test_gaussian_against_dense_oracle(self):
         grid = build_grid(10.0, 200)
@@ -52,7 +51,7 @@ class TestSolveDiffusion:
         out = solve_diffusion(theta_star, a, grid, dt, scheme=BACKWARD_EULER)
         m = dense_heat_matrix(a, grid, kappa=1.0)
         expected = np.linalg.solve(np.eye(grid.n_cells) - dt * m, theta_star)
-        assert sup(out.values - expected) <= 1e-12
+        assert sup(out - expected) <= 1e-12
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_random_systems_against_dense_oracle(self, scheme):
@@ -70,7 +69,7 @@ class TestSolveDiffusion:
                 theta_star + 0.5 * dt * (m @ theta_star)
             )
             expected = np.linalg.solve(lhs, rhs)
-            assert sup(out.values - expected) <= 1e-12 * max(1.0, sup(expected))
+            assert sup(out - expected) <= 1e-12 * max(1.0, sup(expected))
 
     def test_backward_euler_max_principle(self):
         rng = np.random.default_rng(5)
@@ -80,8 +79,8 @@ class TestSolveDiffusion:
             out = solve_diffusion(
                 theta_star, np.zeros(grid.n_cells), grid, dt, scheme=BACKWARD_EULER
             )
-            assert out.values.max() <= theta_star.max() + 1e-14
-            assert out.values.min() >= theta_star.min() - 1e-14
+            assert out.max() <= theta_star.max() + 1e-14
+            assert out.min() >= theta_star.min() - 1e-14
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_conserves_weighted_heat(self, scheme):
@@ -92,36 +91,35 @@ class TestSolveDiffusion:
         theta_star = rng.uniform(-0.2, 0.9, size=grid.n_cells)
         before = float(grid.w @ ((1.0 + a) * theta_star))
         out = solve_diffusion(theta_star, a, grid, dt=0.5, scheme=scheme)
-        after = float(grid.w @ ((1.0 + a) * out.values))
+        after = float(grid.w @ ((1.0 + a) * out))
         assert after == pytest.approx(before, rel=1e-13)
 
     def test_smooths_gradients(self):
         grid = build_grid(8.0, 320)
         theta_star = np.exp(-grid.r**2)
         out = solve_diffusion(theta_star, np.zeros(grid.n_cells), grid, dt=0.1)
-        assert sup(np.diff(out.values)) < sup(np.diff(theta_star))
+        assert sup(np.diff(out)) < sup(np.diff(theta_star))
 
     def test_kappa_zero_is_identity(self):
         grid = build_grid(8.0, 64)
         theta_star = np.exp(-grid.r**2)
         out = solve_diffusion(theta_star, np.zeros(grid.n_cells), grid, 0.1, kappa=0.0)
-        assert np.array_equal(out.values, theta_star)
+        assert np.array_equal(out, theta_star)
 
-    def test_accepts_parity_fields(self):
+    def test_takes_and_returns_plain_arrays(self):
+        # array-likes in, a fresh float array out, the inputs left as they were
         grid = build_grid(8.0, 64)
-        theta_star = ParityField(values=np.exp(-grid.r**2), parity=EVEN)
-        a = ParityField(values=np.zeros(grid.n_cells), parity=EVEN)
-        out = solve_diffusion(theta_star, a, grid, dt=0.05)
-        assert out.parity == EVEN
-
-    def test_rejects_odd_inputs(self):
-        grid = build_grid(8.0, 64)
-        odd = ParityField(values=grid.r.copy(), parity=ODD)
-        even = ParityField(values=np.zeros(grid.n_cells), parity=EVEN)
-        with pytest.raises(ParityError):
-            solve_diffusion(odd, even, grid, dt=0.05)
-        with pytest.raises(ParityError):
-            solve_diffusion(even, odd, grid, dt=0.05)
+        theta_star = np.exp(-grid.r**2)
+        kept = theta_star.copy()
+        out = solve_diffusion(list(theta_star), [0.0] * grid.n_cells, grid, dt=0.05)
+        assert type(out) is np.ndarray and out.dtype == float
+        assert out.shape == theta_star.shape
+        same = solve_diffusion(theta_star, np.zeros(grid.n_cells), grid, dt=0.05)
+        assert same.tobytes() == out.tobytes()
+        assert np.array_equal(theta_star, kept)
+        for kappa in (0.0, 1.0):
+            out = solve_diffusion(theta_star, np.zeros(grid.n_cells), grid, 0.05, kappa=kappa)
+            assert out is not theta_star
 
     def test_rejects_bad_arguments(self):
         grid = build_grid(8.0, 64)
@@ -136,6 +134,13 @@ class TestSolveDiffusion:
             solve_diffusion(zero, zero, grid, dt=0.1, scheme="leapfrog")
         with pytest.raises(StateValidityError):
             solve_diffusion(zero, np.full(grid.n_cells, -1.5), grid, dt=0.1)
+
+    def test_rejects_unknown_scheme_without_conduction(self):
+        # with kappa = 0 no solve runs, so the scheme is checked on entry
+        grid = build_grid(8.0, 64)
+        zero = np.zeros(grid.n_cells)
+        with pytest.raises(ValueError, match="leapfrog"):
+            solve_diffusion(zero, zero, grid, dt=0.1, scheme="leapfrog", kappa=0.0)
 
 
 class TestStep:
@@ -192,6 +197,15 @@ class TestStep:
             with pytest.raises(ValueError, match="filter_coeff"):
                 step(state, grid, 0.01, filter_coeff=coeff)
         step(state, grid, 0.01, filter_coeff=1.0 / 16.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_rejects_unknown_scheme(self, kappa):
+        # with kappa = 0 the conduction solve never runs, so the scheme is
+        # checked on entry
+        grid = build_grid(10.0, 100)
+        state = make_initial_state(grid, "gaussian-bump", 1e-3, PhysParams(kappa=kappa))
+        with pytest.raises(ValueError, match="leapfrog"):
+            step(state, grid, 0.01, scheme="leapfrog")
 
     def test_rejects_invalid_input_state(self):
         grid = build_grid(10.0, 100)
@@ -257,8 +271,8 @@ class TestStep:
         def round_trip_defect(dt):
             fwd, report = step(state, grid, dt)
             assert report.validity.ok
-            back, _ = step(fwd.with_fields(u=-fwd.u), grid, dt)
-            returned = back.with_fields(u=-back.u)
+            back, _ = step(dataclasses.replace(fwd, u=-fwd.u), grid, dt)
+            returned = dataclasses.replace(back, u=-back.u)
             return max(
                 sup(returned.a - state.a),
                 sup(returned.u - state.u),

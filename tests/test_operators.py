@@ -1,43 +1,90 @@
-"""Parity-aware radial derivative, divergence, and Laplacian stencils."""
+"""Radial stencils on the kernel path.
+
+The derivative kernel ``derivative_array`` is tested directly.  The
+divergence du/dr + 2u/r is tested inside the convective right-hand side,
+the radial Laplacian inside the rows that conduction assembles, and
+higher derivatives through the diagnostics' derivative chain.
+"""
 
 import numpy as np
 import pytest
 
-from radgas import (
-    EVEN,
-    ODD,
-    ParityError,
-    ParityField,
-    build_grid,
-    d_dr,
-    d_dr_k,
-    field_from_function,
-    radial_div,
-    radial_laplacian,
-)
-from radgas.operators import MAX_DERIVATIVE_ORDER, flip_parity
+from radgas import EVEN, ODD, PhysParams, State, build_grid, convective_rhs, step
+from radgas import integrator
+from radgas.config import CRANK_NICOLSON
+from radgas.diagnostics import MAX_DIAG_ORDER, DiagnosticsCollector, _derivative_chain
+from radgas.operators import derivative_array, flip_parity
+from radgas.tridiag import tridiagonal_matvec
 
 
-def gaussian_field(grid):
-    return field_from_function(grid, lambda r: np.exp(-(r**2)), EVEN)
+def sample(grid, fn, parity):
+    """fn on the cell centers, once fn is checked to have the given parity.
+
+    An even profile must satisfy fn(-r) == fn(r) and an odd one
+    fn(-r) == -fn(r); the kernels close their stencils at the origin with
+    that reflection, so a profile of the wrong parity would be
+    differentiated wrongly there.
+    """
+    values = np.asarray(fn(grid.r), dtype=float)
+    sign = {EVEN: 1.0, ODD: -1.0}[parity]
+    mirrored = np.asarray(fn(-grid.r), dtype=float)
+    scale = np.max(np.abs(values)) + 1e-300
+    if not np.allclose(mirrored, sign * values, rtol=1e-9, atol=1e-12 * scale):
+        raise ValueError(f"profile is not {parity} across the origin")
+    return values
+
+
+def gaussian(grid):
+    return sample(grid, lambda r: np.exp(-(r**2)), EVEN)
+
+
+def divergence(u, grid):
+    """div u = du/dr + 2u/r as the convective right-hand side computes it.
+
+    With a = theta = 0 the temperature tendency is -(u * 0 + 1 * div u),
+    which is exactly -div u.
+    """
+    zero = np.zeros_like(u)
+    state = State(a=zero, u=u, theta=zero, t=0.0, params=PhysParams())
+    return -convective_rhs(state, grid)[2]
+
+
+def laplacian_rows(grid):
+    """(lower, diag, upper) of the Laplacian that conduction assembles.
+
+    These are the rows of M in M theta = kappa * lap(theta) / (1 + a) at
+    kappa = 1 and a = 0, taken from the Crank-Nicolson right-hand side,
+    which applies M to the input field.
+    """
+    rows = []
+
+    def spy(lower, diag, upper, x):
+        rows.append((lower, diag, upper))
+        return tridiagonal_matvec(lower, diag, upper, x)
+
+    zero = np.zeros(grid.n_cells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "tridiagonal_matvec", spy)
+        integrator._diffusion_solve_arrays(zero, zero, grid, 1.0, 1.0, CRANK_NICOLSON)
+    return rows[0]
+
+
+def laplacian(values, grid):
+    return tridiagonal_matvec(*laplacian_rows(grid), values)
 
 
 def test_derivative_exact_on_linear_odd_field():
     # u = r is odd; its derivative is 1 in every cell, including the origin
     # cell (parity ghost) and the outermost cell (one-sided closure)
     g = build_grid(r_max=5.0, n_cells=40)
-    u = field_from_function(g, lambda r: r, ODD)
-    du = d_dr(u, g)
-    np.testing.assert_allclose(du.values, 1.0, rtol=0, atol=1e-13)
-    assert du.parity == EVEN
+    u = sample(g, lambda r: r, ODD)
+    np.testing.assert_allclose(derivative_array(u, ODD, g.dr), 1.0, rtol=0, atol=1e-13)
 
 
 def test_derivative_exact_on_quadratic_even_field():
     g = build_grid(r_max=5.0, n_cells=40)
-    f = field_from_function(g, lambda r: r**2, EVEN)
-    df = d_dr(f, g)
-    np.testing.assert_allclose(df.values, 2.0 * g.r, rtol=1e-13)
-    assert df.parity == ODD
+    f = sample(g, lambda r: r**2, EVEN)
+    np.testing.assert_allclose(derivative_array(f, EVEN, g.dr), 2.0 * g.r, rtol=1e-13)
 
 
 def test_derivative_second_order_convergence():
@@ -45,18 +92,16 @@ def test_derivative_second_order_convergence():
     errs = []
     for n in (400, 800):
         g = build_grid(r_max=10.0, n_cells=n)
-        df = d_dr(gaussian_field(g), g)
-        errs.append(np.max(np.abs(df.values - exact(g.r))))
+        df = derivative_array(gaussian(g), EVEN, g.dr)
+        errs.append(np.max(np.abs(df - exact(g.r))))
     assert errs[0] / errs[1] > 3.5
 
 
 def test_divergence_of_linear_field_is_three():
     """div(r e_r) = 3 identically for radial vector fields."""
     g = build_grid(r_max=4.0, n_cells=32)
-    u = field_from_function(g, lambda r: r, ODD)
-    div = radial_div(u, g)
-    np.testing.assert_allclose(div.values, 3.0, rtol=1e-13)
-    assert div.parity == EVEN
+    u = sample(g, lambda r: r, ODD)
+    np.testing.assert_allclose(divergence(u, g), 3.0, rtol=1e-13)
 
 
 def test_divergence_convergence():
@@ -65,8 +110,8 @@ def test_divergence_convergence():
     errs = []
     for n in (400, 800):
         g = build_grid(r_max=10.0, n_cells=n)
-        u = field_from_function(g, lambda r: r * np.exp(-(r**2)), ODD)
-        errs.append(np.max(np.abs(radial_div(u, g).values - exact(g.r))))
+        u = sample(g, lambda r: r * np.exp(-(r**2)), ODD)
+        errs.append(np.max(np.abs(divergence(u, g) - exact(g.r))))
     assert errs[0] / errs[1] > 3.5
 
 
@@ -74,10 +119,9 @@ def test_laplacian_exact_on_quadratic():
     # exact in every interior cell; the outermost cell absorbs the wall
     # closure (no flux leaves through r_max), which keeps the total at zero
     g = build_grid(r_max=6.0, n_cells=48)
-    f = field_from_function(g, lambda r: r**2, EVEN)
-    lap = radial_laplacian(f, g)
-    np.testing.assert_allclose(lap.values[:-1], 6.0, rtol=1e-12)
-    assert abs(float(np.sum(g.w * lap.values))) < 1e-10
+    lap = laplacian(sample(g, lambda r: r**2, EVEN), g)
+    np.testing.assert_allclose(lap[:-1], 6.0, rtol=1e-12)
+    assert abs(float(np.sum(g.w * lap))) < 1e-10
 
 
 def test_laplacian_convergence_on_gaussian():
@@ -85,9 +129,9 @@ def test_laplacian_convergence_on_gaussian():
     errs = []
     for n in (400, 800):
         g = build_grid(r_max=10.0, n_cells=n)
-        lap = radial_laplacian(gaussian_field(g), g)
+        lap = laplacian(gaussian(g), g)
         interior = g.r < 6.0
-        errs.append(np.max(np.abs(lap.values[interior] - exact(g.r[interior]))))
+        errs.append(np.max(np.abs(lap[interior] - exact(g.r[interior]))))
     assert errs[0] / errs[1] > 3.5
 
 
@@ -96,18 +140,21 @@ def test_laplacian_flux_form_telescopes():
     # laplacian telescopes away for ANY field, not just decaying ones
     g = build_grid(r_max=12.0, n_cells=300)
     rng = np.random.default_rng(5)
-    f = ParityField(values=rng.standard_normal(300), parity=EVEN)
-    total = float(np.sum(g.w * radial_laplacian(f, g).values))
+    total = float(np.sum(g.w * laplacian(rng.standard_normal(300), g)))
     assert abs(total) < 1e-9  # roundoff of a sum whose terms are O(1/dr^2)
 
 
 def test_zero_flux_at_origin():
-    # an even field has no flux through r=0: refining must not create one.
-    # verified indirectly: laplacian of a constant field is exactly zero
+    # an even field has no flux through r=0: the origin row couples only
+    # to cell 1, and a constant field gives exactly zero there; elsewhere
+    # the rows sum to zero up to rounding
     g = build_grid(r_max=3.0, n_cells=64)
-    c = ParityField(values=np.full(64, 2.5), parity=EVEN)
-    lap = radial_laplacian(c, g)
-    np.testing.assert_array_equal(lap.values, 0.0)
+    lower, diag, upper = laplacian_rows(g)
+    assert lower[0] == 0.0
+    assert diag[0] == -upper[0]
+    lap = tridiagonal_matvec(lower, diag, upper, np.full(64, 2.5))
+    assert lap[0] == 0.0
+    np.testing.assert_allclose(lap, 0.0, rtol=0, atol=1e-13 * 2.5 * np.max(np.abs(diag)))
 
 
 def test_higher_derivatives_against_closed_forms():
@@ -118,56 +165,66 @@ def test_higher_derivatives_against_closed_forms():
         errs = []
         for n in (600, 1200):
             g = build_grid(r_max=10.0, n_cells=n)
-            dk = d_dr_k(gaussian_field(g), g, k)
+            dk = _derivative_chain(gaussian(g), EVEN, g, k)[k]
             window = g.r < 5.0
-            errs.append(np.max(np.abs(dk.values[window] - exact(g.r[window]))))
+            errs.append(np.max(np.abs(dk[window] - exact(g.r[window]))))
         assert errs[0] / errs[1] > tol_ratio, f"k={k}: ratio {errs[0]/errs[1]}"
 
 
 def test_derivative_k_parity_bookkeeping():
+    # the chain flips parity at every order: even, odd, even
     g = build_grid(r_max=2.0, n_cells=16)
-    f = gaussian_field(g)
-    assert d_dr_k(f, g, 0).parity == EVEN
-    assert d_dr_k(f, g, 1).parity == ODD
-    assert d_dr_k(f, g, 2).parity == EVEN
-    np.testing.assert_array_equal(d_dr_k(f, g, 0).values, f.values)
+    f = gaussian(g)
+    chain = _derivative_chain(f, EVEN, g, 2)
+    assert chain[0] is f
+    d1 = derivative_array(f, EVEN, g.dr)
+    assert chain[1].tobytes() == d1.tobytes()
+    assert chain[2].tobytes() == derivative_array(d1, ODD, g.dr).tobytes()
+    assert chain[2].tobytes() != derivative_array(d1, EVEN, g.dr).tobytes()
 
 
 def test_derivative_order_limits():
     g = build_grid(r_max=2.0, n_cells=16)
-    f = gaussian_field(g)
+    DiagnosticsCollector(g, MAX_DIAG_ORDER)
     with pytest.raises(ValueError):
-        d_dr_k(f, g, MAX_DERIVATIVE_ORDER + 1)
+        DiagnosticsCollector(g, MAX_DIAG_ORDER + 1)
     with pytest.raises(ValueError):
-        d_dr_k(f, g, -1)
+        DiagnosticsCollector(g, -1)
 
 
 def test_parity_check_rejects_mismatch():
     g = build_grid(r_max=2.0, n_cells=16)
-    with pytest.raises(ParityError):
-        field_from_function(g, lambda r: r**3, EVEN)
+    with pytest.raises(ValueError):
+        sample(g, lambda r: r**3 + r, EVEN)
     # same function accepted with the correct declaration
-    f = field_from_function(g, lambda r: r**3, ODD)
-    assert f.parity == ODD
-    # and the check can be bypassed explicitly
-    g2 = build_grid(r_max=2.0, n_cells=16)
-    field_from_function(g2, lambda r: r**3, EVEN, check=False)
+    f = sample(g, lambda r: r**3 + r, ODD)
+    # the declaration is what the origin ghost uses: passed as even, the
+    # derivative at cell 0 is off by about 1/2 instead of dr^2
+    exact = 3.0 * g.r[0] ** 2 + 1.0
+    assert abs(derivative_array(f, ODD, g.dr)[0] - exact) <= 1.01 * g.dr**2
+    assert abs(derivative_array(f, EVEN, g.dr)[0] - exact) > 0.4
 
 
 def test_flip_parity():
     assert flip_parity(EVEN) == ODD
     assert flip_parity(ODD) == EVEN
-    with pytest.raises(ParityError):
+    with pytest.raises(ValueError):
         flip_parity("sideways")
 
 
 def test_parity_field_validation():
-    with pytest.raises(ParityError):
-        ParityField(values=np.zeros(4), parity="diagonal")
+    # a parity tag the kernels do not know is rejected by the derivative
+    # chain, which the diagnostics use for every derivative order
+    g = build_grid(r_max=2.0, n_cells=16)
+    with pytest.raises(ValueError, match="parity"):
+        _derivative_chain(gaussian(g), "diagonal", g, 2)
 
 
 def test_length_mismatch_rejected():
     g = build_grid(r_max=2.0, n_cells=16)
-    f = ParityField(values=np.zeros(8), parity=EVEN)
+    zero = np.zeros(8)
+    state = State(a=zero, u=zero, theta=zero, t=0.0, params=PhysParams())
     with pytest.raises(ValueError):
-        d_dr(f, g)
+        convective_rhs(state, g)
+    with pytest.raises(ValueError):
+        step(state, g, dt=0.01)

@@ -6,19 +6,37 @@ import math
 import numpy as np
 import pytest
 
-from radgas.config import RunSummary
+from radgas import integrator
+from radgas.config import RunConfig, RunSummary
 from radgas.diagnostics import DiagnosticsRecord
 from radgas.output import (
     BreachDumpSink,
     CompositeSink,
     CsvSink,
-    emit_timeseries,
     format_record,
-    read_timeseries,
+    run_to_dir,
     timeseries_header,
     write_summary,
 )
 from radgas.state import PhysParams, State
+
+
+def read_timeseries(path):
+    """Read a timeseries CSV back into (column names, row array)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [
+            [float(tok) for tok in line.strip().split(",")]
+            for line in fh
+            if line.strip()
+        ]
+    return header, np.asarray(rows)
+
+
+def write_csv(records, path, max_k=2):
+    with CsvSink(path, max_k) as sink:
+        for record in records:
+            sink.on_record(record)
 
 
 def make_record(t, seed=0, max_k=2):
@@ -74,7 +92,7 @@ class TestRoundTrip:
             grad_theta_sq=0.0,
         )
         path = tmp_path / "awkward.csv"
-        emit_timeseries([awkward], path, max_k=2)
+        write_csv([awkward], path)
         header, rows = read_timeseries(path)
         assert header == timeseries_header(2).split(",")
         expected = [
@@ -95,7 +113,7 @@ class TestRoundTrip:
     def test_random_records_roundtrip(self, tmp_path):
         records = [make_record(t=0.1 * i, seed=i) for i in range(20)]
         path = tmp_path / "series.csv"
-        emit_timeseries(records, path, max_k=2)
+        write_csv(records, path)
         _, rows = read_timeseries(path)
         assert rows.shape == (20, 13)
         for record, row in zip(records, rows):
@@ -119,6 +137,12 @@ class TestCsvSink:
                 for i in range(5):
                     sink.on_record(make_record(0.25 * i, seed=i))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+TINY = RunConfig(
+    eps=1e-3, kappa=1.0, r_max=12.0, n_cells=64, t_end=0.2, output_every=4,
+    run_id="tiny",
+)
 
 
 class TestSummaryJson:
@@ -154,12 +178,35 @@ class TestSummaryJson:
         assert payload["peaks"]["mass"] == 1.5e-3
         assert payload["error"] is None
 
-    def test_emit_timeseries_writes_sibling_summary(self, tmp_path):
-        path = tmp_path / "timeseries.csv"
-        emit_timeseries([make_record(0.0)], path, max_k=2, summary=self.make_summary())
-        assert (tmp_path / "summary.json").exists()
-        payload = json.loads((tmp_path / "summary.json").read_text())
-        assert payload["run_id"] == "demo"
+    def test_run_to_dir_writes_sibling_summary(self, tmp_path):
+        out = tmp_path / "run"
+        summary = run_to_dir(TINY, out)
+        assert summary.termination_reason == "time-complete"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "timeseries.csv"]
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["run_id"] == "tiny"
+        assert payload["steps"] == summary.steps
+        _, rows = read_timeseries(out / "timeseries.csv")
+        assert rows[-1, 0] == summary.t_final
+        # without a directory the same run gives the same summary
+        bare = run_to_dir(TINY, None)
+        assert (bare.steps, bare.peaks) == (summary.steps, summary.peaks)
+
+    def test_run_to_dir_turns_an_exception_into_an_error_summary(
+        self, tmp_path, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(integrator, "step", boom)
+        out = tmp_path / "run"
+        summary = run_to_dir(TINY, out)
+        assert summary.termination_reason == "error"
+        assert "solver exploded" in summary.error
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["termination_reason"] == "error"
+        assert "RuntimeError: solver exploded" in payload["error"]
+        assert run_to_dir(TINY, None).termination_reason == "error"
 
 
 class TestBreachDump:

@@ -1,5 +1,7 @@
 """Initial data families, state validation, and physical parameters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -134,9 +136,13 @@ def test_validate_flags_nonfinite(grid):
     assert not rep.all_finite
 
 
-def test_with_fields_returns_new_state(grid):
+def test_replace_returns_new_state(grid):
+    # dataclasses.replace re-runs the constructor: new state, arrays locked
     s = make_initial_state(grid, GAUSSIAN_BUMP, 1e-2)
-    s2 = s.with_fields(t=1.5)
+    s2 = dataclasses.replace(s, t=1.5)
     assert s2.t == 1.5
     assert s.t == 0.0
     np.testing.assert_array_equal(s2.a, s.a)
+    s3 = dataclasses.replace(s, u=-s.u)
+    np.testing.assert_array_equal(s3.u, -s.u)
+    assert not s3.u.flags.writeable

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from radgas import integrator
 from radgas.cli import build_parser, main
 from radgas.config import ConfigError, RunConfig
 from radgas.sweep import sweep
@@ -107,6 +108,12 @@ class TestSweep:
     def test_invalid_member_value_fails_fast(self):
         with pytest.raises(ConfigError, match="eps"):
             sweep(base_config(), "eps", [1e-3, 2.0])
+
+    @pytest.mark.parametrize("value", [96.7, float("nan"), float("inf")])
+    def test_non_integral_n_cells_rejected(self, value):
+        # int(96.7) would silently run a 96-cell member
+        with pytest.raises(ConfigError, match="n_cells"):
+            sweep(base_config(), "n_cells", [96.0, value])
 
     def test_writes_member_outputs(self, tmp_path):
         summaries = sweep(
@@ -247,6 +254,32 @@ class TestCliMain:
         assert "sweep-base-eps-0.001" in lines[1]
         for run_id in ("sweep-base-eps-0.0001", "sweep-base-eps-0.001"):
             assert (out_root / run_id / "timeseries.csv").exists()
+
+    def test_sweep_verb_non_integral_n_cells(self, tmp_path, capsys):
+        config = self.write(tmp_path, BASE_TEXT)
+        code = main(
+            ["sweep", "--config", config, "--axis", "n_cells", "--values", "96.7"]
+        )
+        assert code == 3
+        assert "n_cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "preset"])
+    def test_failed_run_still_writes_summary(self, tmp_path, capsys, monkeypatch, verb):
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(integrator, "step", boom)
+        out_dir = tmp_path / "out"
+        if verb == "run":
+            args = ["run", "--config", self.write(tmp_path, BASE_TEXT)]
+        else:
+            args = ["preset", "no-conduction-steepening"]
+        code = main(args + ["--out", str(out_dir)])
+        assert code == 1
+        assert "solver exploded" in capsys.readouterr().err
+        payload = json.loads((out_dir / "summary.json").read_text())
+        assert payload["termination_reason"] == "error"
+        assert "RuntimeError: solver exploded" in payload["error"]
 
     def test_sweep_verb_bad_values(self, tmp_path, capsys):
         config = self.write(tmp_path, BASE_TEXT)
