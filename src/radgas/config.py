@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import MAX_DIAG_ORDER
@@ -67,6 +68,10 @@ class RunConfig:
 
     def validate(self) -> None:
         problems: list[str] = []
+        for name in ("n_cells", "output_every", "diag_max_k"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                problems.append(f"{name} must be an integer, got {value!r}")
         if not (0.0 <= self.eps < 1.0):
             problems.append(f"eps must lie in [0, 1), got {self.eps}")
         if self.kappa < 0.0 or not math.isfinite(self.kappa):

@@ -67,6 +67,39 @@ class ListSink(DiagnosticsSink):
         self.breach_state = state
 
 
+def _record_scalars(w, a, u, theta, du, dtheta) -> tuple[float, ...]:
+    """Array kernel of a record's scalars, in DiagnosticsRecord order:
+    (mass, momentum_scalar, energy, entropy_total, entropy_dissipation,
+    lyapunov, shock_indicator).
+
+    Each pointwise term that two integrals share is formed once.  The log
+    terms need 1 + a > 0 and 1 + theta > 0.
+    """
+    one_a = 1.0 + a
+    kinetic = one_a * u**2 / 2.0
+    a_theta = a * theta
+    log_a = np.log1p(a)
+    log_theta = np.log1p(theta)
+    return (
+        float(w @ a),
+        float(w @ (one_a * u)),
+        float(w @ (kinetic + a_theta + theta)),
+        float(w @ (one_a * (log_theta - log_a))),
+        float(w @ (dtheta**2 / (1.0 + theta) ** 2)),
+        float(w @ (one_a * (log_a - log_theta) + kinetic - a + a_theta + theta)),
+        float(np.max(np.abs(du))),
+    )
+
+
+def _state_scalars(state: State, grid: RadialGrid) -> tuple[float, ...]:
+    du = derivative_array(state.u, ODD, grid.dr)
+    dtheta = derivative_array(state.theta, EVEN, grid.dr)
+    # The log terms are undefined on a breached state: the callers that
+    # return them check validity first, the others discard them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _record_scalars(grid.w, state.a, state.u, state.theta, du, dtheta)
+
+
 def conserved_quantities(state: State, grid: RadialGrid) -> tuple[float, float, float]:
     """(mass, momentum_scalar, energy) integrals of the perturbation.
 
@@ -76,14 +109,7 @@ def conserved_quantities(state: State, grid: RadialGrid) -> tuple[float, float, 
     momentum vanishes by symmetry), so it serves as an accuracy probe rather
     than a conservation law.
     """
-    w = grid.w
-    a = state.a
-    u = state.u
-    theta = state.theta
-    mass = float(w @ a)
-    momentum = float(w @ ((1.0 + a) * u))
-    energy = float(w @ ((1.0 + a) * (u**2) / 2.0 + a * theta + theta))
-    return mass, momentum, energy
+    return _state_scalars(state, grid)[:3]
 
 
 def entropy_functionals(state: State, grid: RadialGrid) -> tuple[float, float]:
@@ -94,14 +120,9 @@ def entropy_functionals(state: State, grid: RadialGrid) -> tuple[float, float]:
     With conduction switched on, entropy_total is nondecreasing and its
     production rate is kappa times the dissipation integral.
     """
-    report = validate(state)
-    if not report.ok:
+    if not validate(state).ok:
         raise StateValidityError("entropy functionals require a valid state")
-    w = grid.w
-    s_total = float(w @ ((1.0 + state.a) * (np.log1p(state.theta) - np.log1p(state.a))))
-    dtheta = derivative_array(state.theta, EVEN, grid.dr)
-    dissipation = float(w @ (dtheta**2 / (1.0 + state.theta) ** 2))
-    return s_total, dissipation
+    return _state_scalars(state, grid)[3:5]
 
 
 def lyapunov_functional(state: State, grid: RadialGrid) -> float:
@@ -111,20 +132,9 @@ def lyapunov_functional(state: State, grid: RadialGrid) -> float:
     decreases exactly at the entropy-dissipation rate, vanishes on the
     background, and is quadratic to leading order in the field amplitudes.
     """
-    report = validate(state)
-    if not report.ok:
+    if not validate(state).ok:
         raise StateValidityError("the Lyapunov functional requires a valid state")
-    a = state.a
-    u = state.u
-    theta = state.theta
-    integrand = (
-        (1.0 + a) * (np.log1p(a) - np.log1p(theta))
-        + (1.0 + a) * u**2 / 2.0
-        - a
-        + a * theta
-        + theta
-    )
-    return float(grid.w @ integrand)
+    return _state_scalars(state, grid)[5]
 
 
 def taylor_remainder(a, theta):
@@ -149,12 +159,7 @@ def taylor_remainder(a, theta):
 
 def shock_indicator(state: State, grid: RadialGrid) -> float:
     """Sup norm of the velocity gradient, max_i |du/dr|."""
-    du = derivative_array(state.u, ODD, grid.dr)
-    return float(np.max(np.abs(du)))
-
-
-def _norm_sq(values: np.ndarray, w: np.ndarray) -> float:
-    return float(w @ (values**2))
+    return _state_scalars(state, grid)[6]
 
 
 def _derivative_chain(
@@ -180,8 +185,10 @@ class SobolevAccumulator:
                 (orders j <= K-1 only),
 
     from which e_k1[k] = sum_{j<=k} (sup_j + int_th_j) and
-    e_k2[k] = sum_{j<k} int_au_j.  Samples must arrive in nondecreasing
-    time order; all accumulators are nondecreasing in time.
+    e_k2[k] = sum_{j<k} int_au_j.  So it reads a and u up to order K and
+    theta up to order K+1, and norms each of those derivatives once.
+    Samples must arrive in nondecreasing time order; all accumulators are
+    nondecreasing in time.
     """
 
     def __init__(self, grid: RadialGrid, max_k: int) -> None:
@@ -194,32 +201,26 @@ class SobolevAccumulator:
         self.max_k = max_k
         self._sup = np.zeros(max_k + 1)
         self._int_theta = np.zeros(max_k + 1)
-        self._int_au = np.zeros(max_k) if max_k > 0 else np.zeros(0)
+        self._int_au = np.zeros(max_k)
         self._prev_t: float | None = None
         self._prev_theta_rates = np.zeros(max_k + 1)
-        self._prev_au_rates = np.zeros(max_k) if max_k > 0 else np.zeros(0)
+        self._prev_au_rates = np.zeros(max_k)
         self.grad_theta_sq = 0.0
 
-    def add(self, state: State) -> None:
-        grid = self.grid
-        w = grid.w
-        k = self.max_k
-        a_chain = _derivative_chain(state.a, EVEN, grid, k + 1)
-        u_chain = _derivative_chain(state.u, ODD, grid, k + 1)
-        th_chain = _derivative_chain(state.theta, EVEN, grid, k + 2)
-
-        trip = np.array(
-            [
-                _norm_sq(a_chain[j], w)
-                + _norm_sq(u_chain[j], w)
-                + _norm_sq(th_chain[j], w)
-                for j in range(k + 1)
-            ]
-        )
-        theta_rates = np.array([_norm_sq(th_chain[j + 1], w) for j in range(k + 1)])
-        au_rates = np.array(
-            [_norm_sq(a_chain[j + 1], w) + _norm_sq(u_chain[j + 1], w) for j in range(k)]
-        )
+    def add(self, state: State) -> tuple[list[np.ndarray], ...]:
+        """Fold in one sample and return the derivative chains it built:
+        a to order K, u to order max(K, 1) and theta to order K+1.  u's
+        first derivative is built also at K = 0 for the shock indicator."""
+        grid, w, k = self.grid, self.grid.w, self.max_k
+        a_chain = _derivative_chain(state.a, EVEN, grid, k)
+        u_chain = _derivative_chain(state.u, ODD, grid, max(k, 1))
+        th_chain = _derivative_chain(state.theta, EVEN, grid, k + 1)
+        a_sq = [float(w @ (f**2)) for f in a_chain]
+        u_sq = [float(w @ (f**2)) for f in u_chain[: k + 1]]
+        th_sq = [float(w @ (f**2)) for f in th_chain]
+        trip = np.array([a_sq[j] + u_sq[j] + th_sq[j] for j in range(k + 1)])
+        theta_rates = np.array(th_sq[1:])
+        au_rates = np.array([a_sq[j + 1] + u_sq[j + 1] for j in range(k)])
 
         t = float(state.t)
         if self._prev_t is None:
@@ -230,22 +231,20 @@ class SobolevAccumulator:
                 raise ValueError("samples must arrive in nondecreasing time order")
             np.maximum(self._sup, trip, out=self._sup)
             self._int_theta += 0.5 * dt * (self._prev_theta_rates + theta_rates)
-            if k > 0:
-                self._int_au += 0.5 * dt * (self._prev_au_rates + au_rates)
+            self._int_au += 0.5 * dt * (self._prev_au_rates + au_rates)
         self._prev_t = t
         self._prev_theta_rates = theta_rates
         self._prev_au_rates = au_rates
         self.grad_theta_sq = float(theta_rates[0])
+        return a_chain, u_chain, th_chain
 
     @property
     def e_k1(self) -> tuple[float, ...]:
-        totals = np.cumsum(self._sup + self._int_theta)
-        return tuple(float(v) for v in totals)
+        return tuple(np.cumsum(self._sup + self._int_theta).tolist())
 
     @property
     def e_k2(self) -> tuple[float, ...]:
-        totals = np.cumsum(self._int_au)
-        return tuple(float(v) for v in totals)
+        return tuple(np.cumsum(self._int_au).tolist())
 
 
 @dataclass
@@ -260,21 +259,16 @@ class DiagnosticsCollector:
         self._acc = SobolevAccumulator(self.grid, self.max_k)
 
     def update(self, state: State) -> DiagnosticsRecord:
-        grid = self.grid
-        self._acc.add(state)
-        mass, momentum, energy = conserved_quantities(state, grid)
-        s_total, dissipation = entropy_functionals(state, grid)
-        lyap = lyapunov_functional(state, grid)
-        indicator = shock_indicator(state, grid)
+        """One record in a single pass: the state is checked once, and the
+        first derivatives come from the accumulator's chains."""
+        if not validate(state).ok:
+            raise StateValidityError("diagnostics require a valid state")
+        _, u_chain, th_chain = self._acc.add(state)
         return DiagnosticsRecord(
-            t=float(state.t),
-            mass=mass,
-            momentum_scalar=momentum,
-            energy=energy,
-            entropy_total=s_total,
-            entropy_dissipation=dissipation,
-            lyapunov=lyap,
-            shock_indicator=indicator,
+            float(state.t),
+            *_record_scalars(
+                self.grid.w, state.a, state.u, state.theta, u_chain[1], th_chain[1]
+            ),
             e_k1=self._acc.e_k1,
             e_k2=self._acc.e_k2,
             grad_theta_sq=self._acc.grad_theta_sq,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from radgas.config import (
@@ -17,6 +18,7 @@ from radgas.config import (
     preset,
     refine_config,
 )
+from radgas.integrator import run
 from radgas.state import support_radius
 
 MINIMAL = """
@@ -179,6 +181,30 @@ class TestValidate:
     def test_rejects_non_finite_or_unstable(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             self.base(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            # int() in build_grid used to run this on 96 cells
+            ({"n_cells": 96.7}, "n_cells"),
+            ({"n_cells": math.nan}, "n_cells"),
+            # the step counter's modulo used to record every 5th step
+            ({"output_every": 2.5}, "output_every"),
+            # used to validate, then end the run with a TypeError
+            ({"diag_max_k": 1.5}, "diag_max_k"),
+        ],
+    )
+    def test_rejects_non_integral_counts(self, overrides, fragment):
+        with pytest.raises(ConfigError, match=f"{fragment} must be an integer"):
+            self.base(**overrides).validate()
+        # run() validates before it builds anything
+        with pytest.raises(ConfigError, match=f"{fragment} must be an integer"):
+            run(self.base(t_end=0.01, **overrides))
+
+    def test_numpy_integers_pass(self):
+        self.base(
+            n_cells=np.int64(400), output_every=np.int32(3), diag_max_k=np.int16(2)
+        ).validate()
 
     def test_filter_stability_bound_is_inclusive(self):
         self.base(filter_coeff=MAX_FILTER_COEFF).validate()
