@@ -104,6 +104,13 @@ class RunConfig:
             problems.append(
                 f"diag_max_k must lie in [0, {MAX_DIAG_ORDER}], got {self.diag_max_k}"
             )
+        # run_id names the member directory under a sweep's output root
+        if (
+            not isinstance(self.run_id, str)
+            or self.run_id in ("", ".", "..")
+            or any(c in self.run_id for c in "/\\\0")
+        ):
+            problems.append(f"run_id must be a plain file name, got {self.run_id!r}")
         if not problems and self.init_family in INIT_FAMILIES:
             bound = self.contact_bound()
             if bound > self.r_max:

@@ -18,6 +18,12 @@ Inside a step the fields stay plain arrays: the input state is validated
 once, every later stage is checked once on its arrays, and only the result
 is wrapped in a State.
 
+Finite-propagation window: without conduction the system is symmetric
+hyperbolic, and the explicit update moves data a few cells per step.  A
+kappa = 0 step therefore runs on the first min(n, s + _REACH) cells, s being
+the input's support (derivation at _REACH), and copies the zero tail, with
+the full mesh's bytes.  With kappa > 0 the implicit solve fills every cell.
+
 Both ends of the domain are closed: zero flux at the origin by parity and
 an insulated rigid wall at r_max.  Mass is then conserved to rounding no
 matter what reaches the boundary, and the conduction substep conserves the
@@ -191,6 +197,27 @@ def _fourth_difference_filter(
     return a_new, u_new, theta_new
 
 
+#: Cells beyond the input's support [0, s) that a kappa = 0 step reaches:
+#: each RK stage widens it by one cell (centered stencils) and the filter by
+#: two.  On the window the filter leaves u and theta in cells m-2, m-1 as
+#: they are, where the full mesh uses cells m-4 .. m, so the stage-2 support
+#: s+2 must end by m-4: R = 6.  The one-sided derivative and the closed wall
+#: faces then see only zeros, and the final one-sided du/dr at m-1 reads only
+#: cell m-3, giving the full mesh's |du/dr| at m-2 (same maximum).
+_REACH = 6
+
+
+def _window(state: State, n: int) -> int:
+    """min(n, s + _REACH), s one past the last cell where a, u or theta is
+    not +0.0.  NaN, inf and -0.0 count as data: the update keeps a run of
+    +0.0 cells bitwise fixed, but not every signed zero."""
+    bits = state.a.view(np.uint64) | state.u.view(np.uint64)
+    bits |= state.theta.view(np.uint64)
+    nonzero = (bits != 0)[::-1]
+    last = int(nonzero.argmax())
+    return min(n, (n - last if nonzero[last] else 0) + _REACH)
+
+
 def step(
     state: State,
     grid: RadialGrid,
@@ -208,14 +235,26 @@ def step(
         raise ValueError(
             f"filter_coeff must lie in [0, {MAX_FILTER_COEFF}], got {filter_coeff}"
         )
+    n = grid.n_cells
+    if state.a.shape[0] != n:
+        raise ValueError(f"state has {state.a.shape[0]} cells, grid has {n}")
     if not validate(state).ok:
         raise StateValidityError("step requires a valid input state")
 
     kappa = state.params.kappa
-    a, u, theta = state.a, state.u, state.theta
+    m = n if kappa > 0.0 else _window(state, n)
+    if m < n:  # a grid of the first m cells, views of the full one's arrays
+        faces, area = grid.faces[: m + 1], grid.face_area[: m + 1]
+        grid = RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
+    a, u, theta = state.a[:m], state.u[:m], state.theta[:m]
 
     def finish(a_new, u_new, theta_new, validity, residual):
         du_dr = derivative_array(u_new, ODD, grid.dr)
+        if m < n:
+            tail = np.zeros(n - m)
+            a_new, u_new, theta_new = (
+                np.concatenate((f, tail)) for f in (a_new, u_new, theta_new)
+            )
         new_state = State(
             a=a_new, u=u_new, theta=theta_new, t=state.t + dt, params=state.params
         )

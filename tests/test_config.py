@@ -201,6 +201,18 @@ class TestValidate:
         with pytest.raises(ConfigError, match=f"{fragment} must be an integer"):
             run(self.base(t_end=0.01, **overrides))
 
+    @pytest.mark.parametrize(
+        "run_id", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
+    )
+    def test_rejects_path_like_run_id(self, run_id):
+        # a sweep names each member directory after its run_id
+        with pytest.raises(ConfigError, match="run_id"):
+            self.base(run_id=run_id).validate()
+
+    def test_plain_run_ids_pass(self):
+        for run_id in ("run", "..a", "sweep-base-eps-0.001", "x1.5"):
+            self.base(run_id=run_id).validate()
+
     def test_numpy_integers_pass(self):
         self.base(
             n_cells=np.int64(400), output_every=np.int32(3), diag_max_k=np.int16(2)

@@ -226,5 +226,10 @@ def test_length_mismatch_rejected():
     state = State(a=zero, u=zero, theta=zero, t=0.0, params=PhysParams())
     with pytest.raises(ValueError):
         convective_rhs(state, g)
-    with pytest.raises(ValueError):
-        step(state, g, dt=0.01)
+    # at kappa = 0 a step window narrower than both would hide the mismatch
+    for kappa in (1.0, 0.0):
+        mismatched = State(
+            a=zero, u=zero, theta=zero, t=0.0, params=PhysParams(kappa=kappa)
+        )
+        with pytest.raises(ValueError):
+            step(mismatched, g, dt=0.01)

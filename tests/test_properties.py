@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -21,6 +21,11 @@ from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
 from radgas.state import PhysParams, make_initial_state  # noqa: E402
 
 EPS = np.finfo(float).eps
+#: The smallest subnormal, 2**-1074.  In the underflow range a rounded
+#: operation is fl(x op y) = (x op y)(1 + d) + e with |e| <= 2**-1075
+#: (Higham, Accuracy and Stability of Numerical Algorithms, section 2.1);
+#: no multiple of eps times the result bounds e.
+TINY = np.finfo(float).smallest_subnormal
 VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -43,22 +48,41 @@ def test_derivative_origin_cell_uses_the_mirrored_ghost(profile, parity):
     assert df[1:-1].tobytes() == central.tobytes()
 
 
+def underflow_slack(n, *factors):
+    """Absolute error allowance of an n-term sum whose terms each take up
+    to four underflow errors e, each magnified by at most 1 + the largest
+    grid factor the term passes through."""
+    scale = 1.0 + sum(float(np.max(np.abs(f))) for f in factors)
+    return (2.0 * n * scale) * TINY
+
+
+#: Here |sum| is 1.5e-323 while 64 eps sum|terms| underflows to 0.
+SUBNORMAL_PROFILE = (build_grid(2.0, 8), np.full(8, 2.22507386e-313))
+
+
 @settings(max_examples=200, deadline=None)
 @given(profiles())
+@example(SUBNORMAL_PROFILE)
 def test_flux_divergence_weighted_sum_vanishes(profile):
     grid, m = profile
     terms = grid.w * flux_divergence(m, grid)
-    assert abs(float(np.sum(terms))) <= 64 * EPS * float(np.sum(np.abs(terms)))
+    bound = 64 * EPS * float(np.sum(np.abs(terms))) + underflow_slack(
+        grid.n_cells, grid.face_area, grid.w
+    )
+    assert abs(float(np.sum(terms))) <= bound
 
 
 @settings(max_examples=200, deadline=None)
 @given(profiles(), st.floats(0.0, MAX_FILTER_COEFF))
+@example(SUBNORMAL_PROFILE, 0.01)
 def test_filter_density_update_weighted_sum_vanishes(profile, coeff):
     grid, a = profile
     zero = np.zeros_like(a)
     a_new, _, _ = _fourth_difference_filter(a, zero, zero, grid, coeff)
     terms = grid.w * (a_new - a)
-    bound = 64 * EPS * (float(np.sum(np.abs(terms))) + float(grid.w @ np.abs(a)))
+    bound = 64 * EPS * (
+        float(np.sum(np.abs(terms))) + float(grid.w @ np.abs(a))
+    ) + underflow_slack(grid.n_cells, grid.face_area * grid.dr, grid.w)
     assert abs(float(np.sum(terms))) <= bound
 
 

@@ -115,6 +115,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match="n_cells"):
             sweep(base_config(), "n_cells", [96.0, value])
 
+    def test_run_id_cannot_leave_the_output_root(self, tmp_path):
+        # the member used to be written to tmp_path / "escaped-eps-0.001"
+        with pytest.raises(ConfigError, match="run_id"):
+            sweep(
+                base_config(run_id="../escaped"),
+                "eps",
+                [1e-3],
+                out_root=tmp_path / "members",
+            )
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_member_outputs(self, tmp_path):
         summaries = sweep(
             base_config(), "kappa", [0.0, 1.0], out_root=tmp_path
@@ -280,6 +291,20 @@ class TestCliMain:
         payload = json.loads((out_dir / "summary.json").read_text())
         assert payload["termination_reason"] == "error"
         assert "RuntimeError: solver exploded" in payload["error"]
+
+    @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
+    def test_path_like_run_id_is_config_error(self, tmp_path, capsys, verb):
+        text = BASE_TEXT.replace("run_id = sweep-base", "run_id = ../escaped")
+        config = self.write(tmp_path, text)
+        if verb == "sweep":
+            out_root = tmp_path / "members"
+            args = ["sweep", "--config", config, "--axis", "eps", "--values", "1e-3"]
+            args += ["--out", str(out_root)]
+        else:
+            args = ["validate-config", config]
+        assert main(args) == 3
+        assert "run_id" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
 
     def test_sweep_verb_bad_values(self, tmp_path, capsys):
         config = self.write(tmp_path, BASE_TEXT)
