@@ -31,9 +31,6 @@ from .diagnostics import (
     DiagnosticsRecord,
     DiagnosticsSink,
     ListSink,
-    conserved_quantities,
-    entropy_functionals,
-    lyapunov_functional,
     shock_indicator,
     taylor_remainder,
 )
@@ -76,9 +73,6 @@ __all__ = [
     "DiagnosticsRecord",
     "DiagnosticsSink",
     "ListSink",
-    "conserved_quantities",
-    "entropy_functionals",
-    "lyapunov_functional",
     "shock_indicator",
     "taylor_remainder",
     "BACKWARD_EULER",

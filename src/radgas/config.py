@@ -68,10 +68,14 @@ class RunConfig:
 
     def validate(self) -> None:
         problems: list[str] = []
-        for name in ("n_cells", "output_every", "diag_max_k"):
+        typed = [(name, numbers.Integral, "an integer") for name in _INT_KEYS]
+        typed += [(name, numbers.Real, "a real number") for name in _FLOAT_KEYS]
+        for name, kind, noun in typed:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                problems.append(f"{name} must be an integer, got {value!r}")
+            if not isinstance(value, kind):
+                problems.append(f"{name} must be {noun}, got {value!r}")
+        if problems:  # the range checks below would raise TypeError
+            raise ConfigError("; ".join(problems))
         if not (0.0 <= self.eps < 1.0):
             problems.append(f"eps must lie in [0, 1), got {self.eps}")
         if self.kappa < 0.0 or not math.isfinite(self.kappa):
@@ -104,11 +108,13 @@ class RunConfig:
             problems.append(
                 f"diag_max_k must lie in [0, {MAX_DIAG_ORDER}], got {self.diag_max_k}"
             )
-        # run_id names the member directory under a sweep's output root
+        # run_id names the member directory under a sweep's output root, and
+        # a config file must hold it: one line, no '#', no surrounding space
         if (
             not isinstance(self.run_id, str)
             or self.run_id in ("", ".", "..")
-            or any(c in self.run_id for c in "/\\\0")
+            or any(c in self.run_id for c in "/\\\0#")
+            or self.run_id.strip().splitlines() != [self.run_id]
         ):
             problems.append(f"run_id must be a plain file name, got {self.run_id!r}")
         if not problems and self.init_family in INIT_FAMILIES:

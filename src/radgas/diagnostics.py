@@ -1,5 +1,15 @@
-"""Run diagnostics: conserved integrals, entropy, Lyapunov functional,
-shock indicator and Sobolev-type energy accumulators.
+"""Run diagnostics: DiagnosticsCollector turns each state of a run into one
+DiagnosticsRecord, in a single pass over the state.
+
+A record holds the perturbation integrals mass = int a and energy =
+int ((1+a) u^2/2 + a theta + theta), which the dynamics conserve, and
+momentum_scalar = int (1+a) u, the radial projection of the momentum
+density (an accuracy probe, not a conservation law); the entropy
+int (1+a) ln((1+theta)/(1+a)), nondecreasing with conduction on, and its
+production rate int |grad theta|^2/(1+theta)^2 (times kappa); the Lyapunov
+functional int [(1+a) ln((1+a)/(1+theta)) + (1+a) u^2/2 - a + a theta +
+theta], which decreases at that rate; the shock indicator max |du/dr|; and
+the Sobolev-type energy accumulators.
 
 All integrals use the spherical volume weights of the grid, so a discrete
 sum stands in for integration over R^3.  Derivative norms use repeated
@@ -10,7 +20,7 @@ same 4 pi r^2 measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,52 +101,6 @@ def _record_scalars(w, a, u, theta, du, dtheta) -> tuple[float, ...]:
     )
 
 
-def _state_scalars(state: State, grid: RadialGrid) -> tuple[float, ...]:
-    du = derivative_array(state.u, ODD, grid.dr)
-    dtheta = derivative_array(state.theta, EVEN, grid.dr)
-    # The log terms are undefined on a breached state: the callers that
-    # return them check validity first, the others discard them.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _record_scalars(grid.w, state.a, state.u, state.theta, du, dtheta)
-
-
-def conserved_quantities(state: State, grid: RadialGrid) -> tuple[float, float, float]:
-    """(mass, momentum_scalar, energy) integrals of the perturbation.
-
-    mass = int a dx and energy = int ((1+a) u^2 / 2 + a theta + theta) dx are
-    conserved by the dynamics; momentum_scalar = int (1+a) u dx is the radial
-    projection of the momentum density and genuinely evolves (the vector
-    momentum vanishes by symmetry), so it serves as an accuracy probe rather
-    than a conservation law.
-    """
-    return _state_scalars(state, grid)[:3]
-
-
-def entropy_functionals(state: State, grid: RadialGrid) -> tuple[float, float]:
-    """(entropy_total, entropy_dissipation).
-
-    entropy_total = int (1+a) ln((1+theta)/(1+a)) dx and
-    entropy_dissipation = int |grad theta|^2 / (1+theta)^2 dx >= 0.
-    With conduction switched on, entropy_total is nondecreasing and its
-    production rate is kappa times the dissipation integral.
-    """
-    if not validate(state).ok:
-        raise StateValidityError("entropy functionals require a valid state")
-    return _state_scalars(state, grid)[3:5]
-
-
-def lyapunov_functional(state: State, grid: RadialGrid) -> float:
-    """Nonnegative combination of relative entropy and conserved integrals.
-
-    L = int [(1+a) ln((1+a)/(1+theta)) + (1+a) u^2/2 - a + a theta + theta] dx
-    decreases exactly at the entropy-dissipation rate, vanishes on the
-    background, and is quadratic to leading order in the field amplitudes.
-    """
-    if not validate(state).ok:
-        raise StateValidityError("the Lyapunov functional requires a valid state")
-    return _state_scalars(state, grid)[5]
-
-
 def taylor_remainder(a, theta):
     """Cubic remainder of ln((1+a)/(1+theta)) after its quadratic expansion.
 
@@ -159,7 +123,7 @@ def taylor_remainder(a, theta):
 
 def shock_indicator(state: State, grid: RadialGrid) -> float:
     """Sup norm of the velocity gradient, max_i |du/dr|."""
-    return _state_scalars(state, grid)[6]
+    return float(np.max(np.abs(derivative_array(state.u, ODD, grid.dr))))
 
 
 def _derivative_chain(
@@ -174,10 +138,11 @@ def _derivative_chain(
     return chain
 
 
-class SobolevAccumulator:
-    """Running Sobolev-energy accumulators over the samples it is fed.
+class DiagnosticsCollector:
+    """Produce DiagnosticsRecord rows for a run, folding in the Sobolev-type
+    energy accumulators.
 
-    For each derivative order j <= K the accumulator tracks
+    For each derivative order j <= K the collector tracks
 
       sup_j:    running sup of |d^j a|^2 + |d^j u|^2 + |d^j theta|^2,
       int_th_j: trapezoid-in-time integral of |d^(j+1) theta|^2,
@@ -185,10 +150,8 @@ class SobolevAccumulator:
                 (orders j <= K-1 only),
 
     from which e_k1[k] = sum_{j<=k} (sup_j + int_th_j) and
-    e_k2[k] = sum_{j<k} int_au_j.  So it reads a and u up to order K and
-    theta up to order K+1, and norms each of those derivatives once.
-    Samples must arrive in nondecreasing time order; all accumulators are
-    nondecreasing in time.
+    e_k2[k] = sum_{j<k} int_au_j.  States must arrive in nondecreasing time
+    order; all accumulators are nondecreasing in time.
     """
 
     def __init__(self, grid: RadialGrid, max_k: int) -> None:
@@ -205,12 +168,12 @@ class SobolevAccumulator:
         self._prev_t: float | None = None
         self._prev_theta_rates = np.zeros(max_k + 1)
         self._prev_au_rates = np.zeros(max_k)
-        self.grad_theta_sq = 0.0
 
-    def add(self, state: State) -> tuple[list[np.ndarray], ...]:
-        """Fold in one sample and return the derivative chains it built:
-        a to order K, u to order max(K, 1) and theta to order K+1.  u's
-        first derivative is built also at K = 0 for the shock indicator."""
+    def update(self, state: State) -> DiagnosticsRecord:
+        """One record in one pass: the state is checked once, and a to order
+        K, u to max(K, 1) and theta to K+1 are each derived and normed once."""
+        if not validate(state).ok:
+            raise StateValidityError("diagnostics require a valid state")
         grid, w, k = self.grid, self.grid.w, self.max_k
         a_chain = _derivative_chain(state.a, EVEN, grid, k)
         u_chain = _derivative_chain(state.u, ODD, grid, max(k, 1))
@@ -235,41 +198,10 @@ class SobolevAccumulator:
         self._prev_t = t
         self._prev_theta_rates = theta_rates
         self._prev_au_rates = au_rates
-        self.grad_theta_sq = float(theta_rates[0])
-        return a_chain, u_chain, th_chain
-
-    @property
-    def e_k1(self) -> tuple[float, ...]:
-        return tuple(np.cumsum(self._sup + self._int_theta).tolist())
-
-    @property
-    def e_k2(self) -> tuple[float, ...]:
-        return tuple(np.cumsum(self._int_au).tolist())
-
-
-@dataclass
-class DiagnosticsCollector:
-    """Produce DiagnosticsRecord rows for a run, owning the accumulators."""
-
-    grid: RadialGrid
-    max_k: int
-    _acc: SobolevAccumulator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._acc = SobolevAccumulator(self.grid, self.max_k)
-
-    def update(self, state: State) -> DiagnosticsRecord:
-        """One record in a single pass: the state is checked once, and the
-        first derivatives come from the accumulator's chains."""
-        if not validate(state).ok:
-            raise StateValidityError("diagnostics require a valid state")
-        _, u_chain, th_chain = self._acc.add(state)
         return DiagnosticsRecord(
-            float(state.t),
-            *_record_scalars(
-                self.grid.w, state.a, state.u, state.theta, u_chain[1], th_chain[1]
-            ),
-            e_k1=self._acc.e_k1,
-            e_k2=self._acc.e_k2,
-            grad_theta_sq=self._acc.grad_theta_sq,
+            t,
+            *_record_scalars(w, state.a, state.u, state.theta, u_chain[1], th_chain[1]),
+            e_k1=tuple(np.cumsum(self._sup + self._int_theta).tolist()),
+            e_k2=tuple(np.cumsum(self._int_au).tolist()),
+            grad_theta_sq=float(theta_rates[0]),
         )

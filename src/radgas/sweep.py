@@ -54,6 +54,6 @@ def sweep(
         return []
     if parallelism == 1 or len(jobs) == 1:
         return [run_to_dir(config, out_dir) for config, out_dir in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
         futures = [pool.submit(run_to_dir, c, d) for c, d in jobs]
         return [future.result() for future in futures]

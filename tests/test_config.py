@@ -202,6 +202,34 @@ class TestValidate:
             run(self.base(t_end=0.01, **overrides))
 
     @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            # each used to escape validate as a TypeError, so run() reported
+            # an "error" (exit 1) instead of a config error (exit 3)
+            ({"eps": "0.001"}, "eps must be a real number"),
+            ({"cfl": None}, "cfl must be a real number"),
+            ({"kappa": [1.0]}, "kappa must be a real number"),
+            ({"t_end": "5"}, "t_end must be a real number"),
+            ({"n_cells": "400"}, "n_cells must be an integer"),
+            # a config file cannot hold it: int("1.5") fails
+            ({"seed": 1.5}, "seed must be an integer"),
+        ],
+    )
+    def test_rejects_wrong_types(self, overrides, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            self.base(**overrides).validate()
+        with pytest.raises(ConfigError, match=fragment):
+            run(self.base(**{"t_end": 0.01, **overrides}))
+
+    @pytest.mark.parametrize(
+        "run_id", ["a#b", "#", "a\nb", "a\r", " run", "run ", "\trun", "a\u2028b"]
+    )
+    def test_rejects_run_id_a_config_file_cannot_hold(self, run_id):
+        # parse_config strips comments, splits lines and trims values
+        with pytest.raises(ConfigError, match="run_id"):
+            self.base(run_id=run_id).validate()
+
+    @pytest.mark.parametrize(
         "run_id", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
     )
     def test_rejects_path_like_run_id(self, run_id):

@@ -10,14 +10,11 @@ from scipy.integrate import quad
 from radgas.diagnostics import (
     DiagnosticsCollector,
     ListSink,
-    SobolevAccumulator,
-    conserved_quantities,
-    entropy_functionals,
-    lyapunov_functional,
     shock_indicator,
     taylor_remainder,
 )
 from radgas.grid import build_grid
+from radgas.operators import EVEN, derivative_array
 from radgas.state import PhysParams, State, StateValidityError, make_initial_state
 
 SPHERE = 4.0 * math.pi
@@ -25,6 +22,19 @@ SPHERE = 4.0 * math.pi
 
 def gaussian_state(grid, eps, kappa=1.0):
     return make_initial_state(grid, "gaussian-bump", eps, PhysParams(kappa=kappa))
+
+
+def record_of(state, grid, max_k=2):
+    """The first record of a fresh collector."""
+    return DiagnosticsCollector(grid, max_k).update(state)
+
+
+def conserved(record):
+    return record.mass, record.momentum_scalar, record.energy
+
+
+def entropy(record):
+    return record.entropy_total, record.entropy_dissipation
 
 
 def quad_volume(fn, r_max):
@@ -37,7 +47,7 @@ class TestConservedQuantities:
         eps = 1e-3
         grid = build_grid(12.0, 1200)
         state = gaussian_state(grid, eps)
-        mass, momentum, energy = conserved_quantities(state, grid)
+        mass, momentum, energy = conserved(record_of(state, grid))
 
         prof = lambda r: eps * np.exp(-(r**2))
         q_mass = quad_volume(prof, grid.r_max)
@@ -59,7 +69,7 @@ class TestConservedQuantities:
     def test_zero_state_all_zero(self):
         grid = build_grid(8.0, 64)
         state = make_initial_state(grid, "zero", 0.0)
-        assert conserved_quantities(state, grid) == (0.0, 0.0, 0.0)
+        assert conserved(record_of(state, grid)) == (0.0, 0.0, 0.0)
 
     def test_velocity_free_state_has_no_momentum(self):
         grid = build_grid(8.0, 200)
@@ -71,7 +81,7 @@ class TestConservedQuantities:
             t=0.0,
             params=PhysParams(),
         )
-        mass, momentum, energy = conserved_quantities(state, grid)
+        mass, momentum, energy = conserved(record_of(state, grid))
         assert momentum == 0.0
         assert mass > 0.0
         assert energy > 0.0
@@ -88,7 +98,7 @@ class TestEntropyFunctionals:
             t=0.0,
             params=PhysParams(),
         )
-        total, dissipation = entropy_functionals(state, grid)
+        total, dissipation = entropy(record_of(state, grid))
         volume = SPHERE / 3.0 * grid.r_max**3
         assert total == pytest.approx(volume * math.log1p(c), rel=1e-14)
         # the one-sided edge stencil leaves only a rounding-level residue
@@ -98,7 +108,7 @@ class TestEntropyFunctionals:
         # a == theta makes the relative-entropy density vanish identically
         grid = build_grid(10.0, 500)
         state = gaussian_state(grid, 1e-2)
-        total, dissipation = entropy_functionals(state, grid)
+        total, dissipation = entropy(record_of(state, grid))
         assert total == 0.0
         assert dissipation > 0.0
 
@@ -106,7 +116,7 @@ class TestEntropyFunctionals:
         eps = 1e-3
         grid = build_grid(12.0, 1200)
         state = gaussian_state(grid, eps)
-        _, dissipation = entropy_functionals(state, grid)
+        _, dissipation = entropy(record_of(state, grid))
         prof = lambda r: eps * np.exp(-(r**2))
         dprof = lambda r: -2.0 * r * eps * np.exp(-(r**2))
         q = quad_volume(lambda r: dprof(r) ** 2 / (1.0 + prof(r)) ** 2, grid.r_max)
@@ -122,14 +132,14 @@ class TestEntropyFunctionals:
             params=PhysParams(),
         )
         with pytest.raises(StateValidityError):
-            entropy_functionals(state, grid)
+            entropy(record_of(state, grid))
 
 
 class TestLyapunovFunctional:
     def test_zero_on_background(self):
         grid = build_grid(8.0, 64)
         state = make_initial_state(grid, "zero", 0.0)
-        assert lyapunov_functional(state, grid) == 0.0
+        assert record_of(state, grid).lyapunov == 0.0
 
     def test_velocity_only_is_kinetic_energy(self):
         # with a = theta = 0 every entropy term vanishes and L = int u^2/2
@@ -138,7 +148,7 @@ class TestLyapunovFunctional:
         state = State(
             a=np.zeros_like(u), u=u, theta=np.zeros_like(u), t=0.0, params=PhysParams()
         )
-        lyap = lyapunov_functional(state, grid)
+        lyap = record_of(state, grid).lyapunov
         assert lyap == 0.5 * float(grid.w @ (u**2))
         q = quad_volume(lambda r: (1e-3 * r * np.exp(-(r**2))) ** 2 / 2.0, grid.r_max)
         assert lyap == pytest.approx(q, rel=1e-4)
@@ -147,7 +157,7 @@ class TestLyapunovFunctional:
         grid = build_grid(12.0, 1200)
         scaled = {}
         for eps in (1e-3, 1e-4):
-            lyap = lyapunov_functional(gaussian_state(grid, eps), grid)
+            lyap = record_of(gaussian_state(grid, eps), grid).lyapunov
             assert lyap > 0.0
             scaled[eps] = lyap / eps**2
         # leading order is quadratic, so L / eps^2 is nearly amplitude-free
@@ -163,7 +173,7 @@ class TestLyapunovFunctional:
             params=PhysParams(),
         )
         with pytest.raises(StateValidityError):
-            lyapunov_functional(state, grid)
+            record_of(state, grid).lyapunov
 
 
 class TestTaylorRemainder:
@@ -241,23 +251,22 @@ class TestSobolevAccumulator:
     def test_initial_energy_matches_quadrature(self):
         eps = 1e-3
         grid = build_grid(12.0, 2400)
-        acc = SobolevAccumulator(grid, 2)
-        acc.add(gaussian_state(grid, eps))
+        record = record_of(gaussian_state(grid, eps), grid)
         prof = lambda r: eps * np.exp(-(r**2))
         q = quad_volume(
             lambda r: 2.0 * prof(r) ** 2 + (r * prof(r)) ** 2, grid.r_max
         )
-        assert abs(acc.e_k1[0] - q) <= 1e-10
+        assert abs(record.e_k1[0] - q) <= 1e-10
 
     def test_static_history_semantics(self):
         # sup terms are constant; the time integrals grow exactly linearly
         grid = build_grid(10.0, 400)
         base = gaussian_state(grid, 1e-2)
-        acc = SobolevAccumulator(grid, 2)
+        collector = DiagnosticsCollector(grid, 2)
         snapshots = {}
         for t in (0.0, 5.0, 10.0):
-            acc.add(replace(base, t=t))
-            snapshots[t] = (np.array(acc.e_k1), np.array(acc.e_k2))
+            record = collector.update(replace(base, t=t))
+            snapshots[t] = (np.array(record.e_k1), np.array(record.e_k2))
         first_delta_1 = snapshots[5.0][0] - snapshots[0.0][0]
         second_delta_1 = snapshots[10.0][0] - snapshots[5.0][0]
         np.testing.assert_allclose(second_delta_1, first_delta_1, rtol=1e-13)
@@ -269,13 +278,13 @@ class TestSobolevAccumulator:
     def test_accumulators_nondecreasing(self):
         grid = build_grid(10.0, 300)
         rng = np.random.default_rng(3)
-        acc = SobolevAccumulator(grid, 2)
+        collector = DiagnosticsCollector(grid, 2)
         prev_1 = prev_2 = None
         for t in np.linspace(0.0, 1.0, 6):
             amp = float(rng.uniform(0.2, 1.0))
             state = replace(gaussian_state(grid, 1e-2 * amp), t=float(t))
-            acc.add(state)
-            e1, e2 = np.array(acc.e_k1), np.array(acc.e_k2)
+            record = collector.update(state)
+            e1, e2 = np.array(record.e_k1), np.array(record.e_k2)
             if prev_1 is not None:
                 assert np.all(e1 >= prev_1 - 1e-15)
                 assert np.all(e2 >= prev_2 - 1e-15)
@@ -283,61 +292,82 @@ class TestSobolevAccumulator:
 
     def test_orders_are_cumulative(self):
         grid = build_grid(10.0, 400)
-        acc = SobolevAccumulator(grid, 3)
-        acc.add(gaussian_state(grid, 1e-2))
-        e1 = acc.e_k1
+        record = record_of(gaussian_state(grid, 1e-2), grid, max_k=3)
+        e1 = record.e_k1
         assert len(e1) == 4
-        assert len(acc.e_k2) == 3
+        assert len(record.e_k2) == 3
         assert all(e1[k] <= e1[k + 1] for k in range(3))
 
     def test_rejects_time_regression(self):
         grid = build_grid(10.0, 200)
-        acc = SobolevAccumulator(grid, 1)
-        acc.add(replace(gaussian_state(grid, 1e-2), t=1.0))
+        collector = DiagnosticsCollector(grid, 1)
+        collector.update(replace(gaussian_state(grid, 1e-2), t=1.0))
         with pytest.raises(ValueError, match="nondecreasing"):
-            acc.add(replace(gaussian_state(grid, 1e-2), t=0.5))
+            collector.update(replace(gaussian_state(grid, 1e-2), t=0.5))
 
     def test_rejects_bad_order(self):
         grid = build_grid(10.0, 200)
         with pytest.raises(ValueError):
-            SobolevAccumulator(grid, -1)
+            DiagnosticsCollector(grid, -1)
         with pytest.raises(ValueError):
-            SobolevAccumulator(grid, 7)
+            DiagnosticsCollector(grid, 7)
 
     def test_history_fold_matches_accumulator(self):
+        # e_k1[0] is the running sup of |a|^2 + |u|^2 + |theta|^2 plus the
+        # trapezoid-in-time integral of the records' grad_theta_sq
         grid = build_grid(10.0, 300)
+        w = grid.w
         history = [
-            replace(gaussian_state(grid, 1e-2), t=t) for t in (0.0, 0.3, 0.9)
+            replace(gaussian_state(grid, eps), t=t)
+            for eps, t in ((1e-2, 0.0), (3e-2, 0.3), (2e-2, 0.9))
         ]
-        # the collector's records carry the running accumulator totals
         collector = DiagnosticsCollector(grid, 2)
-        records = [collector.update(state) for state in history]
-        acc = SobolevAccumulator(grid, 2)
-        for state, record in zip(history, records):
-            acc.add(state)
-            assert record.e_k1 == acc.e_k1
-            assert record.e_k2 == acc.e_k2
+        sup = integral = 0.0
+        prev = None
+        for state in history:
+            record = collector.update(state)
+            norms = [float(w @ (f**2)) for f in (state.a, state.u, state.theta)]
+            sup = max(sup, norms[0] + norms[1] + norms[2])
+            if prev is not None:
+                integral += 0.5 * (state.t - prev.t) * (
+                    prev.grad_theta_sq + record.grad_theta_sq
+                )
+            assert record.e_k1[0] == sup + integral
+            prev = record
 
 
 class TestDiagnosticsCollector:
     def test_record_consistent_with_direct_calls(self):
         grid = build_grid(12.0, 600)
-        state = gaussian_state(grid, 1e-3)
+        r = grid.r
+        state = State(
+            a=0.1 * np.exp(-(r**2)),
+            u=0.05 * r * np.exp(-(r**2)),
+            theta=0.2 * np.exp(-(r**2) / 2.0),
+            t=0.0,
+            params=PhysParams(),
+        )
         record = DiagnosticsCollector(grid, 2).update(state)
 
-        mass, momentum, energy = conserved_quantities(state, grid)
-        total, dissipation = entropy_functionals(state, grid)
+        w, a, u, theta = grid.w, state.a, state.u, state.theta
+        kinetic = (1.0 + a) * u**2 / 2.0
+        log_ratio = np.log1p(theta) - np.log1p(a)
+        dtheta = derivative_array(theta, EVEN, grid.dr)
         assert record.t == 0.0
-        assert record.mass == mass
-        assert record.momentum_scalar == momentum
-        assert record.energy == energy
-        assert record.entropy_total == total
-        assert record.entropy_dissipation == dissipation
-        assert record.lyapunov == lyapunov_functional(state, grid)
+        assert record.mass == float(w @ a)
+        assert record.momentum_scalar == float(w @ ((1.0 + a) * u))
+        direct = {
+            "energy": w @ (kinetic + a * theta + theta),
+            "entropy_total": w @ ((1.0 + a) * log_ratio),
+            "entropy_dissipation": w @ (dtheta**2 / (1.0 + theta) ** 2),
+            "lyapunov": w @ (kinetic - (1.0 + a) * log_ratio - a + a * theta + theta),
+            "grad_theta_sq": w @ dtheta**2,
+        }
+        for name, value in direct.items():
+            assert getattr(record, name) == pytest.approx(float(value), rel=1e-12), name
         assert record.shock_indicator == shock_indicator(state, grid)
         assert len(record.e_k1) == 3
         assert len(record.e_k2) == 2
-        assert record.grad_theta_sq > 0.0
 
     def test_list_sink_collects(self):
         grid = build_grid(12.0, 600)

@@ -1,24 +1,40 @@
 """Property tests of the structural identities over random inputs.
 
 The parity ghost of the derivative kernel, the telescoping w-weighted sums
-of the mass flux divergence and of the filter's density update, and the
-background as an exact fixed point of the step.
+of the mass flux divergence, of the filter's density update and of the
+conduction solve's (1 + a) theta, the background as an exact fixed point
+of the step, and a written config parsing back to itself.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from radgas.config import DIFFUSION_SCHEMES, MAX_FILTER_COEFF  # noqa: E402
+from radgas import integrator  # noqa: E402
+from radgas.config import (  # noqa: E402
+    DIFFUSION_SCHEMES,
+    MAX_FILTER_COEFF,
+    ConfigError,
+    RunConfig,
+    parse_config,
+)
+from radgas.diagnostics import MAX_DIAG_ORDER  # noqa: E402
 from radgas.dynamics import flux_divergence  # noqa: E402
 from radgas.grid import MIN_CELLS, build_grid  # noqa: E402
-from radgas.integrator import _fourth_difference_filter, step  # noqa: E402
+from radgas.integrator import (  # noqa: E402
+    _diffusion_solve_arrays,
+    _fourth_difference_filter,
+    step,
+)
 from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
-from radgas.state import PhysParams, make_initial_state  # noqa: E402
+from radgas.state import INIT_FAMILIES, PhysParams, make_initial_state  # noqa: E402
+from radgas.tridiag import tridiagonal_solve  # noqa: E402
 
 EPS = np.finfo(float).eps
 #: The smallest subnormal, 2**-1074.  In the underflow range a rounded
@@ -102,3 +118,90 @@ def test_zero_state_is_an_exact_fixed_point(n, kappa, scheme, coeff, dt):
     assert report.implicit_solve_residual == 0.0
     for name in ("a", "u", "theta"):
         assert np.array_equal(getattr(new, name), getattr(state, name))
+
+
+@st.composite
+def conduction_inputs(draw):
+    """(grid, a, theta) with 1 + a > 0, the precondition of the solve."""
+    grid, theta = draw(profiles())
+    a = draw(arrays(float, grid.n_cells, elements=st.floats(-0.9, 10.0)))
+    return grid, a, theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    conduction_inputs(),
+    st.floats(1e-6, 1.0),
+    st.floats(1e-3, 10.0),
+    st.sampled_from(DIFFUSION_SCHEMES),
+)
+def test_conduction_keeps_the_weighted_heat_content(inputs, dt, kappa, scheme):
+    # sum w (1+a) M x telescopes over the faces, so the solve keeps
+    # sum w (1+a) theta up to rounding and its own residual
+    grid, a, theta = inputs
+    rhs = []
+
+    def spy(lower, diag, upper, b):
+        rhs.append(b)
+        return tridiagonal_solve(lower, diag, upper, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator, "tridiagonal_solve", spy)
+        theta_new, residual = _diffusion_solve_arrays(
+            theta, a, grid, dt, kappa, scheme
+        )
+    weight = grid.w * (1.0 + a)
+    conductance = dt * kappa * grid.face_area / grid.dr
+
+    def flux_size(x):
+        # sum_i |w_i (1+a_i) dt (M x)_i|: each interior face enters two rows
+        inner = conductance[1:-1] * (np.abs(x[1:]) + np.abs(x[:-1]))
+        return 2.0 * float(np.sum(inner))
+
+    size = sum(float(weight @ np.abs(x)) + flux_size(x) for x in (theta, theta_new))
+    solve_error = residual * max(float(np.max(np.abs(rhs[0]))), 1.0)
+    bound = (
+        64 * EPS * size
+        + float(np.sum(weight)) * solve_error
+        + underflow_slack(grid.n_cells, weight, conductance)
+    )
+    change = float(np.sum(weight * theta_new)) - float(np.sum(weight * theta))
+    assert abs(change) <= bound
+
+
+@st.composite
+def run_configs(draw):
+    """A random RunConfig that validates."""
+    config = RunConfig(
+        eps=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        kappa=draw(st.floats(0.0, 1e6)),
+        r_max=1.0,
+        n_cells=draw(st.integers(MIN_CELLS, 10**6)),
+        t_end=draw(st.floats(1e-6, 1e3)),
+        init_family=draw(st.sampled_from(INIT_FAMILIES)),
+        cfl=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        output_every=draw(st.integers(1, 10**6)),
+        diffusion_scheme=draw(st.sampled_from(DIFFUSION_SCHEMES)),
+        filter_coeff=draw(st.floats(0.0, MAX_FILTER_COEFF)),
+        diag_max_k=draw(st.integers(0, MAX_DIAG_ORDER)),
+        seed=draw(st.integers()),
+        run_id=draw(st.text(min_size=1)),
+    )
+    bound = config.contact_bound()
+    config = dataclasses.replace(config, r_max=draw(st.floats(bound, 2.0 * bound)))
+    try:
+        config.validate()
+    except ConfigError:
+        assume(False)
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_configs())
+def test_parse_config_round_trips_a_written_config(config):
+    lines = []
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(config, field.name)
+        text = value if isinstance(value, str) else repr(value)
+        lines.append(f"{field.name} = {text}")
+    assert parse_config("\n".join(lines)) == config

@@ -1,7 +1,9 @@
 """Sweep driver and the command-line harness."""
 
 import dataclasses
+import importlib
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -9,6 +11,9 @@ from radgas import integrator
 from radgas.cli import build_parser, main
 from radgas.config import ConfigError, RunConfig
 from radgas.sweep import sweep
+
+# radgas.sweep, the attribute, is the function; this is its module
+sweep_module = importlib.import_module("radgas.sweep")
 
 BASE_TEXT = """
 eps = 1e-3
@@ -125,6 +130,38 @@ class TestSweep:
                 out_root=tmp_path / "members",
             )
         assert list(tmp_path.iterdir()) == []
+
+    def test_wrongly_typed_base_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cfl must be a real number"):
+            sweep(base_config(cfl=None), "eps", [1e-3], out_root=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pool_is_no_larger_than_the_member_count(self, monkeypatch):
+        # a process pool forks all of its workers at the first submit
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+        summaries = sweep(base_config(), "kappa", [0.0, 1.0], parallelism=64)
+        assert sizes == [2]
+        assert [s.run_id for s in summaries] == [
+            "sweep-base-kappa-0.0",
+            "sweep-base-kappa-1.0",
+        ]
 
     def test_writes_member_outputs(self, tmp_path):
         summaries = sweep(
