@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, RunSummary, parse_config, preset
@@ -64,14 +65,19 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _report(summary: RunSummary) -> None:
-    print(
-        f"[{summary.run_id}] {summary.termination_reason} "
-        f"after {summary.steps} steps (t = {summary.t_final:g}, "
-        f"wall {summary.wall_clock_seconds:.2f}s)"
-    )
-    if summary.error:
-        print(f"[{summary.run_id}] error: {summary.error}", file=sys.stderr)
+def _report(summaries: Iterable[RunSummary]) -> int:
+    """Print one line per run as it arrives; return the worst exit code."""
+    worst = EXIT_OK
+    for summary in summaries:
+        print(
+            f"[{summary.run_id}] {summary.termination_reason} "
+            f"after {summary.steps} steps (t = {summary.t_final:g}, "
+            f"wall {summary.wall_clock_seconds:.2f}s)"
+        )
+        if summary.error:
+            print(f"[{summary.run_id}] error: {summary.error}", file=sys.stderr)
+        worst = max(worst, _REASON_CODES.get(summary.termination_reason, EXIT_FAILURE))
+    return worst
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,25 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             config = _load_config(args.config)
-            summary = run_to_dir(config, args.out)
-            _report(summary)
-            return _REASON_CODES.get(summary.termination_reason, EXIT_FAILURE)
+            return _report([run_to_dir(config, args.out)])
 
         if args.command == "preset":
             configs = preset(args.name)
             if isinstance(configs, RunConfig):
-                configs = [configs]
-            worst = EXIT_OK
-            for config in configs:
-                out_dir = Path(args.out)
-                if len(configs) > 1:
-                    out_dir = out_dir / config.run_id
-                summary = run_to_dir(config, out_dir)
-                _report(summary)
-                worst = max(
-                    worst, _REASON_CODES.get(summary.termination_reason, EXIT_FAILURE)
-                )
-            return worst
+                return _report([run_to_dir(configs, args.out)])
+            out = Path(args.out)
+            return _report(run_to_dir(c, out / c.run_id) for c in configs)
 
         if args.command == "sweep":
             config = _load_config(args.config)
@@ -108,13 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             summaries = sweep(
                 config, args.axis, values, parallelism=args.jobs, out_root=args.out
             )
-            worst = EXIT_OK
-            for summary in summaries:
-                _report(summary)
-                worst = max(
-                    worst, _REASON_CODES.get(summary.termination_reason, EXIT_FAILURE)
-                )
-            return worst
+            return _report(summaries)
 
         if args.command == "validate-config":
             config = _load_config(args.path)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .diagnostics import MAX_DIAG_ORDER
 from .grid import MIN_CELLS
@@ -20,14 +20,6 @@ CONTACT_SAFETY = 1.2
 #: Largest fourth-difference filter coefficient: the filter damps the
 #: checkerboard mode by the factor 1 - 16 * coeff, which must not go negative.
 MAX_FILTER_COEFF = 1.0 / 16.0
-
-PRESET_NAMES = (
-    "small-data-global",
-    "no-conduction-steepening",
-    "entropy-audit",
-    "convergence-study",
-)
-
 
 class ConfigError(ValueError):
     """Raised for malformed, incomplete or physically inconsistent configs."""
@@ -67,13 +59,11 @@ class RunConfig:
         return r_support + CONTACT_SAFETY * self.signal_speed_bound() * self.t_end
 
     def validate(self) -> None:
-        problems: list[str] = []
-        typed = [(name, numbers.Integral, "an integer") for name in _INT_KEYS]
-        typed += [(name, numbers.Real, "a real number") for name in _FLOAT_KEYS]
-        for name, kind, noun in typed:
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                problems.append(f"{name} must be {noun}, got {value!r}")
+        problems = [
+            f"{name} must be {noun}, got {getattr(self, name)!r}"
+            for name, (_, _, kind, noun) in _KEYS.items()
+            if not isinstance(getattr(self, name), kind)
+        ]
         if problems:  # the range checks below would raise TypeError
             raise ConfigError("; ".join(problems))
         if not (0.0 <= self.eps < 1.0):
@@ -129,11 +119,19 @@ class RunConfig:
             raise ConfigError("; ".join(problems))
 
 
-_FLOAT_KEYS = ("eps", "kappa", "r_max", "t_end", "cfl", "filter_coeff")
-_INT_KEYS = ("n_cells", "output_every", "diag_max_k", "seed")
-_STR_KEYS = ("init_family", "diffusion_scheme", "run_id")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
-_REQUIRED_KEYS = ("eps", "kappa", "r_max", "n_cells", "t_end")
+#: Per RunConfig field type: the parser of a config-file value and the noun
+#: that completes its "expected ..." error, then the type validate() requires
+#: and the noun that completes its "... must be ..." error.  str fields are
+#: checked by value.
+_KEY_TYPES = {
+    "float": (float, "a number", numbers.Real, "a real number"),
+    "int": (int, "an integer", numbers.Integral, "an integer"),
+    "str": (str, "", object, ""),
+}
+
+#: Every config key, one per RunConfig field, in field order.
+_KEYS = {f.name: _KEY_TYPES[f.type] for f in fields(RunConfig)}
+_REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -151,7 +149,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in found:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -165,18 +163,11 @@ def parse_config(text: str) -> RunConfig:
 
     kwargs: dict[str, object] = {}
     for key, value in found.items():
-        if key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
-        else:
-            kwargs[key] = value
+        parse, noun, _, _ = _KEYS[key]
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: expected {noun}, got {value!r}")
 
     config = RunConfig(**kwargs)  # type: ignore[arg-type]
     config.validate()
@@ -194,6 +185,43 @@ def refine_config(config: RunConfig, factor: int = 2) -> RunConfig:
     return refined
 
 
+#: Named runs: the values that differ from RunConfig's defaults.  Each
+#: config's run_id is its preset name.
+_PRESETS: dict[str, dict[str, object]] = {
+    "small-data-global": dict(
+        eps=1e-3,
+        kappa=1.0,
+        r_max=100.0,
+        n_cells=4000,
+        t_end=50.0,
+        diffusion_scheme=CRANK_NICOLSON,
+        filter_coeff=0.01,
+    ),
+    "no-conduction-steepening": dict(
+        eps=0.3,
+        kappa=0.0,
+        r_max=56.0,
+        n_cells=2800,
+        t_end=20.0,
+        cfl=0.4,
+        output_every=10,
+    ),
+    "entropy-audit": dict(
+        eps=1e-3,
+        kappa=1.0,
+        r_max=24.0,
+        n_cells=1920,
+        t_end=10.0,
+        output_every=5,
+        diffusion_scheme=CRANK_NICOLSON,
+        filter_coeff=0.01,
+    ),
+}
+_PRESETS["convergence-study"] = _PRESETS["small-data-global"]
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> RunConfig | list[RunConfig]:
     """Named run configurations.
 
@@ -205,61 +233,16 @@ def preset(name: str) -> RunConfig | list[RunConfig]:
     convergence-study        : the small-data run plus its mesh refinement,
                                returned as a two-element list.
     """
-    if name == "small-data-global":
-        config = RunConfig(
-            eps=1e-3,
-            kappa=1.0,
-            r_max=100.0,
-            n_cells=4000,
-            t_end=50.0,
-            cfl=0.25,
-            output_every=20,
-            diffusion_scheme=CRANK_NICOLSON,
-            filter_coeff=0.01,
-            diag_max_k=2,
-            run_id="small-data-global",
-        )
-    elif name == "no-conduction-steepening":
-        config = RunConfig(
-            eps=0.3,
-            kappa=0.0,
-            r_max=56.0,
-            n_cells=2800,
-            t_end=20.0,
-            cfl=0.4,
-            output_every=10,
-            filter_coeff=0.0,
-            diag_max_k=2,
-            run_id="no-conduction-steepening",
-        )
-    elif name == "entropy-audit":
-        config = RunConfig(
-            eps=1e-3,
-            kappa=1.0,
-            r_max=24.0,
-            n_cells=1920,
-            t_end=10.0,
-            cfl=0.25,
-            output_every=5,
-            diffusion_scheme=CRANK_NICOLSON,
-            filter_coeff=0.01,
-            diag_max_k=2,
-            run_id="entropy-audit",
-        )
-    elif name == "convergence-study":
-        base = preset("small-data-global")
-        assert isinstance(base, RunConfig)
-        base = replace(base, run_id="convergence-study-h0")
-        fine = replace(refine_config(base), run_id="convergence-study-h1")
-        base.validate()
-        fine.validate()
-        return [base, fine]
-    else:
+    if name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; expected one of {PRESET_NAMES}"
         )
+    config = RunConfig(**_PRESETS[name], run_id=name)  # type: ignore[arg-type]
     config.validate()
-    return config
+    if name != "convergence-study":
+        return config
+    base = replace(config, run_id=f"{name}-h0")
+    return [base, replace(refine_config(base), run_id=f"{name}-h1")]
 
 
 @dataclass(frozen=True)

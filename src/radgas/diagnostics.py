@@ -20,7 +20,7 @@ same 4 pi r^2 measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class DiagnosticsRecord:
     grad_theta_sq: float
 
 
+#: A record's scalar fields, the ones between t and the accumulators.  In
+#: this order they are the values of _record_scalars, the CSV columns after t
+#: and the keys of a run summary's peaks.
+SCALAR_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))[1:8]
+
+
 class DiagnosticsSink:
     """Receiver of diagnostics records during a run.  Base class is a no-op."""
 
@@ -78,9 +84,7 @@ class ListSink(DiagnosticsSink):
 
 
 def _record_scalars(w, a, u, theta, du, dtheta) -> tuple[float, ...]:
-    """Array kernel of a record's scalars, in DiagnosticsRecord order:
-    (mass, momentum_scalar, energy, entropy_total, entropy_dissipation,
-    lyapunov, shock_indicator).
+    """Array kernel of a record's scalars, in SCALAR_FIELDS order.
 
     Each pointwise term that two integrals share is formed once.  The log
     terms need 1 + a > 0 and 1 + theta > 0.

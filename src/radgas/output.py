@@ -4,26 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import traceback
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, RunSummary
-from .diagnostics import DiagnosticsRecord, DiagnosticsSink
+from .diagnostics import SCALAR_FIELDS, DiagnosticsRecord, DiagnosticsSink
 from .integrator import run
 from .state import State
 
-_SCALAR_COLUMNS = (
-    "t",
-    "mass",
-    "momentum_scalar",
-    "energy",
-    "entropy_total",
-    "entropy_dissipation",
-    "lyapunov",
-    "shock_indicator",
-)
+_SCALAR_COLUMNS = ("t", *SCALAR_FIELDS)
 
 
 def timeseries_header(max_k: int) -> str:
@@ -42,13 +34,20 @@ def format_record(record: DiagnosticsRecord) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
+def _partial_path(path: Path) -> Path:
+    """Where a file is written before one os.replace publishes it, so that a
+    killed run leaves no truncated file under the final name."""
+    return path.with_name(path.name + ".partial")
+
+
 class CsvSink(DiagnosticsSink):
-    """Stream records to a CSV file as the run produces them."""
+    """Stream records to a CSV file as the run produces them.  The file
+    appears under its name only when the sink is closed."""
 
     def __init__(self, path: str | Path, max_k: int) -> None:
         self.path = Path(path)
         self.max_k = max_k
-        self._fh = open(self.path, "w")
+        self._fh = open(_partial_path(self.path), "w")
         self._fh.write(timeseries_header(max_k) + "\n")
 
     def on_record(self, record: DiagnosticsRecord) -> None:
@@ -57,6 +56,7 @@ class CsvSink(DiagnosticsSink):
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
+            os.replace(self._fh.name, self.path)
 
     def __enter__(self) -> "CsvSink":
         return self
@@ -130,6 +130,8 @@ def write_summary(summary: RunSummary, path: str | Path) -> None:
     payload = dataclasses.asdict(summary)
     payload["final_e_k1"] = list(summary.final_e_k1)
     payload["final_e_k2"] = list(summary.final_e_k2)
-    with open(path, "w") as fh:
+    partial = _partial_path(Path(path))
+    with open(partial, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    os.replace(partial, path)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -43,9 +42,6 @@ class PhysParams:
     """
 
     kappa: float = 1.0
-
-    R_GAS: ClassVar[float] = 1.0
-    C_V: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.kappa) or self.kappa < 0.0:

@@ -117,6 +117,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="kappa"):
             parse_config(text)
 
+    def test_keys_are_exactly_the_run_config_fields(self):
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        keys = {line.split("=")[0].strip() for line in FULL.splitlines() if "=" in line}
+        assert keys == names  # FULL sets every field, and parses
+        assert parse_config(FULL).run_id == "full-example"
+        for name in ("validate", "contact_bound"):  # attributes, not fields
+            with pytest.raises(ConfigError, match=f"unknown key '{name}'"):
+                parse_config(MINIMAL + f"{name} = 1\n")
+
+    def test_required_keys_are_the_fields_without_defaults(self):
+        required = [
+            f.name
+            for f in dataclasses.fields(RunConfig)
+            if f.default is dataclasses.MISSING
+        ]
+        assert required == ["eps", "kappa", "r_max", "n_cells", "t_end"]
+        parse_config(MINIMAL)  # exactly these keys
+        for name in required:
+            text = "\n".join(
+                line for line in MINIMAL.splitlines() if not line.startswith(name)
+            )
+            with pytest.raises(ConfigError, match=f"missing required keys: {name}$"):
+                parse_config(text)
+
     def test_boundary_no_contact_enforced(self):
         # waves from the origin would cross r_max = 10 long before t = 1000
         text = """
@@ -291,37 +315,77 @@ class TestRefineConfig:
         assert fine.n_cells == 4 * base.n_cells
 
 
+def small_data_global(n_cells, run_id):
+    """Every field of the small-data-global run, spelled out."""
+    return RunConfig(
+        eps=1e-3,
+        kappa=1.0,
+        r_max=100.0,
+        n_cells=n_cells,
+        t_end=50.0,
+        init_family="gaussian-bump",
+        cfl=0.25,
+        output_every=20,
+        diffusion_scheme=CRANK_NICOLSON,
+        filter_coeff=0.01,
+        diag_max_k=2,
+        seed=0,
+        run_id=run_id,
+    )
+
+
 class TestPresets:
+    # Each preset is pinned field by field: the golden output hashes and the
+    # acceptance criteria were taken with exactly these runs.
     def test_small_data_global(self):
         config = preset("small-data-global")
-        assert isinstance(config, RunConfig)
-        assert config.eps == 1e-3
-        assert config.kappa == 1.0
-        assert config.r_max == 100.0
-        assert config.n_cells == 4000
-        assert config.t_end == 50.0
+        assert config == small_data_global(4000, "small-data-global")
         config.validate()
 
     def test_no_conduction_steepening(self):
         config = preset("no-conduction-steepening")
-        assert config.eps == 0.3
-        assert config.kappa == 0.0
-        assert config.filter_coeff == 0.0
+        assert config == RunConfig(
+            eps=0.3,
+            kappa=0.0,
+            r_max=56.0,
+            n_cells=2800,
+            t_end=20.0,
+            init_family="gaussian-bump",
+            cfl=0.4,
+            output_every=10,
+            diffusion_scheme=BACKWARD_EULER,
+            filter_coeff=0.0,
+            diag_max_k=2,
+            seed=0,
+            run_id="no-conduction-steepening",
+        )
         config.validate()
 
     def test_entropy_audit(self):
         config = preset("entropy-audit")
-        assert config.kappa == 1.0
-        assert config.diffusion_scheme == CRANK_NICOLSON
+        assert config == RunConfig(
+            eps=1e-3,
+            kappa=1.0,
+            r_max=24.0,
+            n_cells=1920,
+            t_end=10.0,
+            init_family="gaussian-bump",
+            cfl=0.25,
+            output_every=5,
+            diffusion_scheme=CRANK_NICOLSON,
+            filter_coeff=0.01,
+            diag_max_k=2,
+            seed=0,
+            run_id="entropy-audit",
+        )
         config.validate()
 
     def test_convergence_study_is_pair(self):
         configs = preset("convergence-study")
-        assert isinstance(configs, list) and len(configs) == 2
-        base, fine = configs
-        assert fine.n_cells == 2 * base.n_cells
-        assert base.run_id == "convergence-study-h0"
-        assert fine.run_id == "convergence-study-h1"
+        assert configs == [
+            small_data_global(4000, "convergence-study-h0"),
+            small_data_global(8000, "convergence-study-h1"),
+        ]
         for config in configs:
             config.validate()
 

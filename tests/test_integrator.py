@@ -10,6 +10,7 @@ from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig
 from radgas.diagnostics import ListSink
 from radgas.grid import build_grid
 from radgas.integrator import _boundary_contact, run, solve_diffusion, step
+from radgas.output import timeseries_header
 from radgas.state import PhysParams, State, StateValidityError, make_initial_state
 
 SCHEMES = (BACKWARD_EULER, CRANK_NICOLSON)
@@ -362,6 +363,26 @@ class TestRun:
         assert len(summary.final_e_k2) == config.diag_max_k
         assert summary.peaks["mass"] > 0.0
         assert summary.error is None
+
+    def test_peaks_are_the_csv_scalar_columns(self):
+        summary = run(tiny_config())
+        assert list(summary.peaks) == timeseries_header(0).split(",")[1:-1]
+
+    def test_contact_between_output_times_ends_the_run(self):
+        # kappa = 5 carries the conduction tail over the guard band at a step
+        # between two output times: the run stops at that step, as a run
+        # recording every step does, and that state's record is the last one
+        config = tiny_config(kappa=5.0, t_end=3.0, output_every=50)
+        every_step, sparse = ListSink(), ListSink()
+        reference = run(dataclasses.replace(config, output_every=1), every_step)
+        assert reference.termination_reason == "boundary-contact"
+        assert reference.steps % config.output_every != 0
+        summary = run(config, sparse)
+        assert summary.termination_reason == "boundary-contact"
+        assert (summary.steps, summary.t_final) == (reference.steps, reference.t_final)
+        times = [0.0, every_step.records[50].t, summary.t_final]
+        assert [r.t for r in sparse.records] == times
+        assert sparse.records[-1].energy == every_step.records[-1].energy
 
     def test_energy_accumulators_nondecreasing(self):
         sink = ListSink()

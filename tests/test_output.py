@@ -1,5 +1,6 @@
 """CSV/JSON emission and bit-exact round trips."""
 
+import dataclasses
 import json
 import math
 
@@ -130,6 +131,16 @@ class TestCsvSink:
         assert header[0] == "t"
         assert rows.shape == (2, 13)
 
+    def test_unclosed_sink_leaves_no_csv(self, tmp_path):
+        # a run killed mid-way must not leave a truncated file that looks whole
+        path = tmp_path / "timeseries.csv"
+        sink = CsvSink(path, max_k=2)
+        sink.on_record(make_record(0.0))
+        assert not path.exists()
+        sink.close()
+        assert read_timeseries(path)[1].shape == (1, 13)
+        assert [p.name for p in tmp_path.iterdir()] == ["timeseries.csv"]
+
     def test_identical_records_identical_bytes(self, tmp_path):
         paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
         for path in paths:
@@ -177,6 +188,13 @@ class TestSummaryJson:
         assert payload["final_e_k1"] == [1.0, 2.0, 3.0]
         assert payload["peaks"]["mass"] == 1.5e-3
         assert payload["error"] is None
+
+    def test_failed_write_leaves_no_summary(self, tmp_path):
+        path = tmp_path / "summary.json"
+        summary = dataclasses.replace(self.make_summary(), peaks={"mass": object()})
+        with pytest.raises(TypeError):  # json.dump fails part-way through
+            write_summary(summary, path)
+        assert not path.exists()
 
     def test_run_to_dir_writes_sibling_summary(self, tmp_path):
         out = tmp_path / "run"

@@ -7,7 +7,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from radgas import integrator
+from radgas import cli, integrator
 from radgas.cli import build_parser, main
 from radgas.config import ConfigError, RunConfig
 from radgas.sweep import sweep
@@ -328,6 +328,32 @@ class TestCliMain:
         payload = json.loads((out_dir / "summary.json").read_text())
         assert payload["termination_reason"] == "error"
         assert "RuntimeError: solver exploded" in payload["error"]
+
+    def test_preset_pair_prints_each_member_as_it_finishes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        printed_before = []
+
+        def run_to_dir(config, out_dir):
+            printed_before.append(capsys.readouterr().out)
+            return real_run_to_dir(config, out_dir)
+
+        real_run_to_dir = cli.run_to_dir
+        monkeypatch.setattr(integrator, "step", boom)
+        monkeypatch.setattr(cli, "run_to_dir", run_to_dir)
+        code = main(["preset", "convergence-study", "--out", str(tmp_path)])
+        assert code == 1
+        assert printed_before[0] == ""
+        assert printed_before[1].startswith("[convergence-study-h0] error after 0 steps")
+        assert capsys.readouterr().out.startswith("[convergence-study-h1] error")
+        members = sorted(p.name for p in tmp_path.iterdir())
+        assert members == ["convergence-study-h0", "convergence-study-h1"]
+        for member in members:
+            payload = json.loads((tmp_path / member / "summary.json").read_text())
+            assert payload["run_id"] == member
 
     @pytest.mark.parametrize("verb", ["sweep", "validate-config"])
     def test_path_like_run_id_is_config_error(self, tmp_path, capsys, verb):
