@@ -99,7 +99,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 values = [float(tok) for tok in args.values.split(",") if tok.strip()]
             except ValueError:
-                raise ConfigError(f"--values must be a comma-separated list of numbers")
+                values = []
+            if not values:
+                raise ConfigError("--values must be a comma-separated list of numbers")
             summaries = sweep(
                 config, args.axis, values, parallelism=args.jobs, out_root=args.out
             )

@@ -9,14 +9,14 @@ Each conduction half step integrates kappa * lap(theta) / (1 + a)
 implicitly (backward Euler by default, Crank-Nicolson on request) with the
 1/(1 + a) coefficient frozen at the substep entry state; the tridiagonal
 system is strictly diagonally dominant for any dt > 0, so the implicit
-update is unconditionally solvable.  It goes straight to LAPACK's dgtsv
-through :func:`radgas.tridiag.tridiagonal_solve`.  The symmetric
-composition keeps the splitting error at O(dt^2) when the Crank-Nicolson
-halves are used.
+update is unconditionally solvable; a scalar precondition vouches for it
+in floating point, and the system goes straight to LAPACK's dgtsv through
+:func:`radgas.tridiag.tridiagonal_solve`.  The symmetric composition keeps
+the splitting error at O(dt^2) when the Crank-Nicolson halves are used.
 
-Inside a step the fields stay plain arrays: the input state is validated
-once, every later stage is checked once on its arrays, and only the result
-is wrapped in a State.
+Inside a step the fields stay plain arrays: every stage is checked once on
+its arrays, and the result is a State that owns the final arrays and keeps
+their check, so neither the next step nor the diagnostics check it again.
 
 Finite-propagation window: without conduction the system is symmetric
 hyperbolic, and the explicit update moves data a few cells per step.  A
@@ -85,7 +85,6 @@ class StepReport:
     dt_used: float
     validity: ValidityReport
     max_abs_du_dr: float
-    implicit_solve_residual: float
 
 
 def _check_scheme(scheme: str) -> None:
@@ -104,8 +103,8 @@ def _diffusion_solve_arrays(
     dt: float,
     kappa: float,
     scheme: str,
-) -> tuple[np.ndarray, float]:
-    """Implicit conduction update; returns (theta_new, relative residual).
+) -> np.ndarray:
+    """Implicit conduction update; returns theta_new.
 
     The rows of M theta = kappa * lap(theta) / (1 + a) are in flux form with
     zero-flux closures at both boundary faces: the origin face by even
@@ -113,14 +112,13 @@ def _diffusion_solve_arrays(
     telescope, so the update conserves the volume integral of (1 + a) theta
     exactly.  The system I - weight * M has diag = 1 + weight * (|lower| +
     |upper|) row by row, so it is strictly diagonally dominant whenever
-    1 + a > 0; the solver's dominance guard checks that precondition.
-    The caller has checked that ``scheme`` is one of DIFFUSION_SCHEMES.
+    1 + a > 0 and ``scheme`` is one of DIFFUSION_SCHEMES, which the caller
+    guarantees.  Raises ValueError where rounding could lose dominance.
     """
-    area = grid.face_area.copy()
-    area[-1] = 0.0  # insulated wall: no conductive flux through the outer face
     c = kappa / ((1.0 + a_frozen) * grid.w * grid.dr)
-    m_lower = c * area[:-1]
-    m_upper = c * area[1:]
+    m_lower = c * grid.face_area[:-1]
+    m_upper = c * grid.face_area[1:]
+    m_upper[-1] = 0.0  # insulated wall: no conductive flux through the outer face
     m_diag = -(m_lower + m_upper)
     m_lower[0] = 0.0  # origin face area vanishes anyway; keep the invariant explicit
     if scheme == BACKWARD_EULER:
@@ -130,6 +128,13 @@ def _diffusion_solve_arrays(
         weight = 0.5 * dt
         m_theta = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
         rhs = theta_star + 0.5 * dt * m_theta
+    # Dominance in floating point: with m_lower, m_upper >= 0 and q =
+    # fl(weight * (m_lower + m_upper)) <= 2**48 in a row, the rounded diag is
+    # >= (1 + q)(1 - u) and |lower| + |upper| <= q (1 + u)**2 / (1 - u)**2,
+    # u = 2**-53, so every coefficient is finite and the slack is >= 1 - u -
+    # 5.01 u q >= 0.84.  NaN and inf fail the comparison.
+    if not weight * -float(m_diag.min()) <= 2.0**48:
+        raise ValueError("conduction system may lose diagonal dominance")
     return tridiagonal_solve(
         -weight * m_lower, 1.0 - weight * m_diag, -weight * m_upper, rhs
     )
@@ -160,8 +165,7 @@ def solve_diffusion(
         raise StateValidityError("solve_diffusion requires 1 + a > 0")
     if kappa == 0.0:
         return theta_star.copy()
-    theta_new, _ = _diffusion_solve_arrays(theta_star, a, grid, dt, kappa, scheme)
-    return theta_new
+    return _diffusion_solve_arrays(theta_star, a, grid, dt, kappa, scheme)
 
 
 def _fourth_difference_filter(
@@ -253,32 +257,27 @@ def step(
         grid = RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
     a, u, theta = state.a[:m], state.u[:m], state.theta[:m]
 
-    def finish(a_new, u_new, theta_new, validity, residual):
+    def finish(a_new, u_new, theta_new, report):
+        # the window's last cells stay 0 (_REACH): its check is the mesh's
         du_dr = derivative_array(u_new, ODD, grid.dr)
         if m < n:
             tail = np.zeros(n - m)
             a_new, u_new, theta_new = (
                 np.concatenate((f, tail)) for f in (a_new, u_new, theta_new)
             )
-        new_state = State(
-            a=a_new, u=u_new, theta=theta_new, t=state.t + dt, params=state.params
-        )
-        return new_state, StepReport(
+        new = State._adopt(a_new, u_new, theta_new, state.t + dt, state.params, report)
+        return new, StepReport(
             dt_used=dt,
-            validity=validity,
+            validity=report,
             max_abs_du_dr=float(np.max(np.abs(du_dr))),
-            implicit_solve_residual=residual,
         )
 
     # First conduction half step (density coefficient frozen at entry).
-    residual = 0.0
     th0 = theta
     if kappa > 0.0:
-        th0, residual = _diffusion_solve_arrays(
-            theta, a, grid, 0.5 * dt, kappa, scheme
-        )
+        th0 = _diffusion_solve_arrays(theta, a, grid, 0.5 * dt, kappa, scheme)
         if not (np.isfinite(th0).all() and np.min(1.0 + th0) > 0.0):
-            return finish(a, u, th0, check_fields(a, u, th0), residual)
+            return finish(a, u, th0, check_fields(a, u, th0))
 
     # Convective substep, stage 1: forward Euler.
     da_dt, du_dt, dth_dt = convective_rhs(a, u, th0, grid)
@@ -287,7 +286,7 @@ def step(
     th1 = th0 + dt * dth_dt
     validity = check_fields(a1, u1, th1)
     if not validity.ok:
-        return finish(a1, u1, th1, validity, residual)
+        return finish(a1, u1, th1, validity)
 
     # Stage 2: average with a forward-Euler step from stage 1.
     da_dt, du_dt, dth_dt = convective_rhs(a1, u1, th1, grid)
@@ -296,17 +295,16 @@ def step(
     th2 = 0.5 * (th0 + th1 + dt * dth_dt)
     validity = check_fields(a2, u2, th2)
     if not validity.ok:
-        return finish(a2, u2, th2, validity, residual)
+        return finish(a2, u2, th2, validity)
 
     # Second conduction half step, frozen at the post-convection density.
     if kappa > 0.0:
-        th2, res2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme)
-        residual = max(residual, res2)
+        th2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme)
 
     if filter_coeff > 0.0:
         a2, u2, th2 = _fourth_difference_filter(a2, u2, th2, grid, filter_coeff)
 
-    return finish(a2, u2, th2, check_fields(a2, u2, th2), residual)
+    return finish(a2, u2, th2, check_fields(a2, u2, th2))
 
 
 #: Width (in cells) of the outer guard band watched for boundary contact.

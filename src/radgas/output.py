@@ -66,20 +66,24 @@ class CsvSink(DiagnosticsSink):
 
 
 class BreachDumpSink(DiagnosticsSink):
-    """Dump the full offending state to an .npz file on a positivity breach."""
+    """Dump the full offending state to an .npz file on a positivity breach
+    (``.npz`` is appended to a path that lacks it, as np.savez does)."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+        self.path = Path(path if str(path).endswith(".npz") else f"{path}.npz")
 
     def on_breach(self, state: State, report) -> None:
-        np.savez(
-            self.path,
-            a=state.a,
-            u=state.u,
-            theta=state.theta,
-            t=state.t,
-            kappa=state.params.kappa,
-        )
+        partial = _partial_path(self.path)
+        with open(partial, "wb") as fh:
+            np.savez(
+                fh,
+                a=state.a,
+                u=state.u,
+                theta=state.theta,
+                t=state.t,
+                kappa=state.params.kappa,
+            )
+        os.replace(partial, self.path)
 
 
 class CompositeSink(DiagnosticsSink):

@@ -8,7 +8,7 @@ extend evenly across the origin while u extends oddly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class State:
     theta: np.ndarray
     t: float
     params: PhysParams
+    _validity: ValidityReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in ("a", "u", "theta"):
@@ -76,6 +79,16 @@ class State:
                 f"a={self.a.shape}, u={self.u.shape}, theta={self.theta.shape}"
             )
         object.__setattr__(self, "t", float(self.t))
+
+    @classmethod
+    def _adopt(cls, a, u, theta, t, params, validity: ValidityReport) -> State:
+        """The step kernel's result: its arrays locked, not copied, and checked."""
+        for arr in (a, u, theta):
+            arr.setflags(write=False)
+        state = object.__new__(cls)
+        vars(state).update(a=a, u=u, theta=theta, t=float(t), params=params)
+        vars(state)["_validity"] = validity
+        return state
 
 
 @dataclass(frozen=True)
@@ -113,8 +126,10 @@ def check_fields(a: np.ndarray, u: np.ndarray, theta: np.ndarray) -> ValidityRep
 
 
 def validate(state: State) -> ValidityReport:
-    """Check positivity of density and temperature and finiteness of fields."""
-    return check_fields(state.a, state.u, state.theta)
+    """Check positivity of density and temperature and finiteness, once per state."""
+    if state._validity is None:
+        vars(state)["_validity"] = check_fields(state.a, state.u, state.theta)
+    return state._validity
 
 
 def support_radius(family: str, eps: float = 0.0) -> float:

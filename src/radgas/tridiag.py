@@ -1,10 +1,10 @@
 """Tridiagonal linear systems for the implicit heat-conduction update.
 
-:func:`tridiagonal_solve` is the one solve path.  It takes the three
-diagonals and the right-hand side as plain arrays, checks strict diagonal
-dominance and finiteness, calls LAPACK's ``dgtsv`` and returns the solution
-with its relative residual.  The conduction half steps call it directly;
-:func:`solve_tridiagonal` calls it for a :class:`TridiagonalSystem`.
+:func:`tridiagonal_solve` is the one LAPACK call site: it takes the three
+diagonals and a finite right-hand side as plain arrays and returns dgtsv's
+solution, its caller vouching for strict diagonal dominance.  The conduction
+half steps call it behind a scalar precondition; :func:`solve_tridiagonal`
+checks a :class:`TridiagonalSystem` row by row first.
 """
 
 from __future__ import annotations
@@ -26,32 +26,28 @@ def tridiagonal_matvec(
     return out
 
 
-def _dominance_slack(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """|diag| - (|lower| + |upper|) row by row; raises unless all positive."""
+def _check_dominance(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
+    """Raise ValueError unless |diag| - (|lower| + |upper|) is positive and
+    finite in every row (an infinite or NaN coefficient leaves it infinite
+    or NaN)."""
     slack = np.abs(diag) - (np.abs(lower) + np.abs(upper))
-    if not np.all(slack > 0.0):
-        raise ValueError("tridiagonal system lost diagonal dominance")
-    return slack
+    if not np.all((slack > 0.0) & (slack < np.inf)):
+        raise ValueError("tridiagonal system lost diagonal dominance or finiteness")
 
 
 def tridiagonal_solve(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Solve A x = rhs; returns (x, relative sup-norm residual).
+) -> np.ndarray:
+    """Solve A x = rhs for a strictly diagonally dominant, finite A.
 
-    ``lower[i]`` multiplies x[i-1] and ``upper[i]`` multiplies x[i+1]; the
-    unused lower[0] and upper[-1] enter only the dominance guard.  Raises
-    ValueError if A is not strictly diagonally dominant or an entry is
-    infinite or NaN, and LinAlgError if LAPACK meets a zero pivot.  LAPACK
+    ``lower[i]`` multiplies x[i-1] and ``upper[i]`` multiplies x[i+1];
+    lower[0] and upper[-1] are not read.  The caller vouches for the
+    dominance and finiteness of A.  Raises ValueError if rhs holds an
+    infinity or NaN, and LinAlgError if LAPACK meets a zero pivot.  LAPACK
     gets the same arrays as ``scipy.linalg.solve_banded((1, 1), ...)`` hands
     it, so the solution is bitwise equal to that route.
     """
-    slack = _dominance_slack(lower, diag, upper)
-    # Slack that passed the guard holds no NaN; an infinite coefficient
-    # leaves +inf in it.
-    if not (np.isfinite(slack).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     if diag.shape[0] == 1:
         x = rhs / diag
@@ -61,9 +57,7 @@ def tridiagonal_solve(
             raise LinAlgError("singular matrix")
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    scale = max(float(np.max(np.abs(rhs))), 1.0)
-    residual = float(np.max(np.abs(tridiagonal_matvec(lower, diag, upper, x) - rhs)))
-    return x, residual / scale
+    return x
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,7 @@ class TridiagonalSystem:
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the system through :func:`tridiagonal_solve`."""
-    x, _ = tridiagonal_solve(system.lower, system.diag, system.upper, system.rhs)
-    return x
+    """Solve the system through :func:`tridiagonal_solve` after checking
+    that it is strictly diagonally dominant and finite row by row."""
+    _check_dominance(system.lower, system.diag, system.upper)
+    return tridiagonal_solve(system.lower, system.diag, system.upper, system.rhs)

@@ -154,7 +154,6 @@ class TestStep:
         assert np.array_equal(new.theta, state.theta)
         assert new.t == pytest.approx(0.01)
         assert report.validity.ok
-        assert report.implicit_solve_residual <= 1e-15
 
     @pytest.mark.parametrize("filter_coeff", [0.0, 0.01])
     def test_single_step_mass_exact(self, filter_coeff):

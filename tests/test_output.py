@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,26 @@ class TestBreachDump:
             assert np.array_equal(data["theta"], state.theta)
             assert float(data["t"]) == 3.25
             assert float(data["kappa"]) == 0.5
+
+    ZERO = State(a=np.zeros(8), u=np.zeros(8), theta=np.zeros(8), t=0.0, params=PhysParams())
+
+    def test_failed_write_leaves_no_dump(self, tmp_path, monkeypatch):
+        def broken_savez(file, **arrays):
+            # the start of a zip archive, then a full disk
+            if hasattr(file, "write"):
+                file.write(b"PK\x03\x04")
+            else:
+                Path(file).write_bytes(b"PK\x03\x04")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError):
+            BreachDumpSink(tmp_path / "state_dump.npz").on_breach(self.ZERO, report=None)
+        assert not (tmp_path / "state_dump.npz").exists()
+
+    def test_keeps_the_name_savez_gives(self, tmp_path):
+        BreachDumpSink(tmp_path / "dump").on_breach(self.ZERO, report=None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.npz"]
 
 
 class TestCompositeSink:

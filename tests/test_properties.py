@@ -2,22 +2,28 @@
 
 The parity ghost of the derivative kernel, the telescoping w-weighted sums
 of the mass flux divergence, of the filter's density update and of the
-conduction solve's (1 + a) theta, the background as an exact fixed point
-of the step, and a written config parsing back to itself.
+conduction solve's (1 + a) theta, the conduction solve's dominance
+precondition against the row-by-row guards it replaced, the background as
+an exact fixed point of the step, and a written config parsing back to
+itself.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings  # noqa: E402
+from hypothesis import assume, event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from radgas import integrator  # noqa: E402
 from radgas.config import (  # noqa: E402
+    BACKWARD_EULER,
     DIFFUSION_SCHEMES,
     MAX_FILTER_COEFF,
     ConfigError,
@@ -34,7 +40,7 @@ from radgas.integrator import (  # noqa: E402
 )
 from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
 from radgas.state import INIT_FAMILIES, PhysParams, make_initial_state  # noqa: E402
-from radgas.tridiag import tridiagonal_solve  # noqa: E402
+from radgas.tridiag import tridiagonal_matvec, tridiagonal_solve  # noqa: E402
 
 EPS = np.finfo(float).eps
 #: The smallest subnormal, 2**-1074.  In the underflow range a rounded
@@ -115,7 +121,6 @@ def test_zero_state_is_an_exact_fixed_point(n, kappa, scheme, coeff, dt):
     state = make_initial_state(grid, "zero", 0.0, PhysParams(kappa=kappa))
     new, report = step(state, grid, dt, scheme=scheme, filter_coeff=coeff)
     assert report.validity.ok
-    assert report.implicit_solve_residual == 0.0
     for name in ("a", "u", "theta"):
         assert np.array_equal(getattr(new, name), getattr(state, name))
 
@@ -139,17 +144,17 @@ def test_conduction_keeps_the_weighted_heat_content(inputs, dt, kappa, scheme):
     # sum w (1+a) M x telescopes over the faces, so the solve keeps
     # sum w (1+a) theta up to rounding and its own residual
     grid, a, theta = inputs
-    rhs = []
+    systems = []
 
     def spy(lower, diag, upper, b):
-        rhs.append(b)
+        systems.append((lower, diag, upper, b))
         return tridiagonal_solve(lower, diag, upper, b)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrator, "tridiagonal_solve", spy)
-        theta_new, residual = _diffusion_solve_arrays(
-            theta, a, grid, dt, kappa, scheme
-        )
+        theta_new = _diffusion_solve_arrays(theta, a, grid, dt, kappa, scheme)
+    [(lower, diag, upper, rhs)] = systems
+    ax = tridiagonal_matvec(lower, diag, upper, theta_new)
     weight = grid.w * (1.0 + a)
     conductance = dt * kappa * grid.face_area / grid.dr
 
@@ -159,7 +164,7 @@ def test_conduction_keeps_the_weighted_heat_content(inputs, dt, kappa, scheme):
         return 2.0 * float(np.sum(inner))
 
     size = sum(float(weight @ np.abs(x)) + flux_size(x) for x in (theta, theta_new))
-    solve_error = residual * max(float(np.max(np.abs(rhs[0]))), 1.0)
+    solve_error = float(np.max(np.abs(ax - rhs)))
     bound = (
         64 * EPS * size
         + float(np.sum(weight)) * solve_error
@@ -167,6 +172,93 @@ def test_conduction_keeps_the_weighted_heat_content(inputs, dt, kappa, scheme):
     )
     change = float(np.sum(weight * theta_new)) - float(np.sum(weight * theta))
     assert abs(change) <= bound
+
+
+def row_guard_route(theta_star, a, grid, dt, kappa, scheme):
+    """The conduction half-solve as it was guarded before the scalar
+    precondition: the wall's face area zeroed in a copy, then the
+    row-by-row dominance and finiteness checks ahead of dgtsv."""
+    area = grid.face_area.copy()
+    area[-1] = 0.0
+    c = kappa / ((1.0 + a) * grid.w * grid.dr)
+    m_lower = c * area[:-1]
+    m_upper = c * area[1:]
+    m_diag = -(m_lower + m_upper)
+    m_lower[0] = 0.0
+    if scheme == BACKWARD_EULER:
+        weight, rhs = dt, theta_star
+    else:
+        weight = 0.5 * dt
+        m_theta = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
+        rhs = theta_star + 0.5 * dt * m_theta
+    lower, diag, upper = -weight * m_lower, 1.0 - weight * m_diag, -weight * m_upper
+    slack = np.abs(diag) - (np.abs(lower) + np.abs(upper))
+    if not np.all(slack > 0.0):
+        raise ValueError("tridiagonal system lost diagonal dominance")
+    if not (np.isfinite(slack).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if diag.shape[0] == 1:
+        return rhs / diag
+    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info != 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+#: dt and kappa: moderate, anywhere up to 1e300, or in the range where on
+#: a moderate mesh weight * (m_lower + m_upper) nears 2**53, the size at
+#: which the 1 on the diagonal is lost to rounding.
+SCALES = st.one_of(
+    st.floats(1e-6, 10.0), log_uniform(1e-6, 1e300), log_uniform(1e11, 1e18)
+)
+
+
+@st.composite
+def extreme_conduction_inputs(draw):
+    """(grid, a, theta) with 1 + a drawn from [1e-300, 1e3]; below 2**-53
+    it rounds to 0, where both routes must raise."""
+    grid, theta = draw(profiles())
+    density = draw(st.sampled_from([st.floats(0.1, 1e3), log_uniform(1e-300, 1e3)]))
+    one_plus_a = draw(arrays(float, grid.n_cells, elements=density))
+    return grid, one_plus_a - 1.0, theta
+
+
+#: On this mesh with a = 0 a backward-Euler half-solve of kappa = 1 has
+#: weight * max(m_lower + m_upper) = 2**48 at dt = 5864062014805.332, the
+#: edge of the precondition, and 2**51 at dt = 46912496118442.66, where
+#: only the row-by-row guards let it through.
+EDGE_MESH = (build_grid(2.0, 8), np.zeros(8), np.linspace(-1.0, 1.0, 8))
+
+
+def solved_or_none(fn, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except (ValueError, LinAlgError):
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_conduction_inputs(), SCALES, SCALES, st.sampled_from(DIFFUSION_SCHEMES))
+@example(EDGE_MESH, 5864062014805.332, 1.0, BACKWARD_EULER)
+@example(EDGE_MESH, 46912496118442.66, 1.0, BACKWARD_EULER)
+def test_conduction_precondition_is_at_least_as_strict(inputs, dt, kappa, scheme):
+    # where the scalar precondition lets a solve through, the row-by-row
+    # guards pass too and dgtsv gets the same bytes; so it raises on every
+    # input where they raise
+    grid, a, theta = inputs
+    args = (theta, a, grid, dt, kappa, scheme)
+    new = solved_or_none(_diffusion_solve_arrays, *args)
+    old = solved_or_none(row_guard_route, *args)
+    if new is None:
+        event("raises" if old is None else "only the row-by-row guards pass")
+    else:
+        assert old is not None
+        assert new.tobytes() == old.tobytes()
 
 
 @st.composite

@@ -7,6 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from radgas import PhysParams, State, build_grid, make_initial_state, support_radius, validate
+from radgas import integrator
+from radgas import state as state_module
+from radgas.config import RunConfig
+from radgas.integrator import run, step
 from radgas.state import (
     BUMP_RADIUS,
     COMPACT_BUMP,
@@ -14,6 +18,7 @@ from radgas.state import (
     GAUSSIAN_SUPPORT_RADIUS,
     StateValidityError,
     ZERO,
+    check_fields,
 )
 
 
@@ -146,3 +151,85 @@ def test_replace_returns_new_state(grid):
     s3 = dataclasses.replace(s, u=-s.u)
     np.testing.assert_array_equal(s3.u, -s.u)
     assert not s3.u.flags.writeable
+
+
+def count_checks(monkeypatch):
+    """Count check_fields calls, through validate and from the step kernel."""
+    calls = []
+
+    def counting(a, u, theta):
+        calls.append(a.shape[0])
+        return check_fields(a, u, theta)
+
+    monkeypatch.setattr(state_module, "check_fields", counting)
+    monkeypatch.setattr(integrator, "check_fields", counting)
+    return calls
+
+
+def rarefaction_breach():
+    """(result, report) of a step whose strong rarefaction drains the
+    near-vacuum center (as in test_integrator's breach test)."""
+    grid = build_grid(10.0, 100)
+    r = grid.r
+    state = State(
+        a=-0.95 * np.exp(-(r**2)),
+        u=5.0 * r * np.exp(-(r**2)),
+        theta=np.zeros_like(r),
+        t=0.0,
+        params=PhysParams(kappa=0.0),
+    )
+    return step(state, grid, dt=0.5)
+
+
+class TestCheckOnce:
+    @pytest.mark.parametrize("kappa, filter_coeff", [(1.0, 0.0), (0.0, 0.01)])
+    def test_run_checks_each_state_once(self, monkeypatch, kappa, filter_coeff):
+        # the initial state once, then the two convective stages and the
+        # result of each step; the next step and the records reuse the check
+        calls = count_checks(monkeypatch)
+        config = RunConfig(
+            eps=1e-3, kappa=kappa, r_max=12.0, n_cells=120, t_end=0.5, cfl=0.25,
+            output_every=1, filter_coeff=filter_coeff, run_id="check-once",
+        )
+        summary = run(config)
+        assert summary.termination_reason == "time-complete"
+        assert len(calls) == 3 * summary.steps + 1
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_kernel_state_is_read_only(self, kappa):
+        grid = build_grid(20.0, 400)
+        state = make_initial_state(grid, "gaussian-bump", 1e-3, PhysParams(kappa=kappa))
+        new, _ = step(state, grid, dt=0.01, filter_coeff=0.01)
+        breached, _ = rarefaction_breach()
+        for s in (new, breached):
+            for name in ("a", "u", "theta"):
+                field = getattr(s, name)
+                assert not field.flags.writeable
+                with pytest.raises(ValueError):
+                    field[0] = 1.0
+
+    def test_replace_and_constructor_check_again(self, monkeypatch):
+        grid = build_grid(12.0, 120)
+        state = make_initial_state(grid, "gaussian-bump", 1e-3)
+        new, report = step(state, grid, dt=0.01)
+        calls = count_checks(monkeypatch)
+        assert validate(new) is report.validity
+        assert calls == []
+        bad = dataclasses.replace(new, a=np.full(grid.n_cells, -2.0))
+        assert not validate(bad).ok
+        assert len(calls) == 1
+        copy = State(a=new.a, u=new.u, theta=new.theta, t=new.t, params=new.params)
+        assert copy.a is not new.a
+        assert validate(copy) == report.validity
+        assert validate(copy) == report.validity
+        assert len(calls) == 2
+
+    def test_breached_kernel_state_keeps_the_failing_report(self, monkeypatch):
+        breached, report = rarefaction_breach()
+        calls = count_checks(monkeypatch)
+        assert not report.validity.ok
+        assert validate(breached) is report.validity
+        assert calls == []
+        assert report.validity == check_fields(breached.a, breached.u, breached.theta)
+        with pytest.raises(StateValidityError):
+            step(breached, build_grid(10.0, 100), dt=0.01)

@@ -376,3 +376,11 @@ class TestCliMain:
         )
         assert code == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [",", " ", ""])
+    def test_sweep_verb_empty_values(self, tmp_path, capsys, values):
+        # a sweep of no members used to run nothing and exit 0
+        config = self.write(tmp_path, BASE_TEXT)
+        code = main(["sweep", "--config", config, "--axis", "eps", "--values", values])
+        assert code == 3
+        assert "--values" in capsys.readouterr().err
