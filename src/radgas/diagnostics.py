@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import RadialGrid
-from .operators import EVEN, ODD, derivative_array, flip_parity
+from .operators import EVEN, ODD, derivative_array
 from .state import State, StateValidityError, validate
 
 MAX_DIAG_ORDER = 6
@@ -131,14 +131,14 @@ def shock_indicator(state: State, grid: RadialGrid) -> float:
 
 
 def _derivative_chain(
-    values: np.ndarray, parity: str, grid: RadialGrid, orders: int
+    values: np.ndarray, parity: float, grid: RadialGrid, orders: int
 ) -> list[np.ndarray]:
     """[f, f', f'', ...] up to the requested number of derivatives."""
     chain = [values]
     p = parity
     for _ in range(orders):
         chain.append(derivative_array(chain[-1], p, grid.dr))
-        p = flip_parity(p)
+        p = -p
     return chain
 
 

@@ -65,7 +65,7 @@ from .diagnostics import (
 from .dynamics import cfl_dt_arrays as cfl_dt
 from .dynamics import convective_rhs_arrays as convective_rhs
 from .grid import RadialGrid, build_grid
-from .operators import ODD, derivative_array
+from .operators import EVEN, ODD, derivative_array
 from .state import (
     PhysParams,
     State,
@@ -185,24 +185,24 @@ def _fourth_difference_filter(
     Stability requires coeff <= 1/16.
     """
 
-    def extend(f: np.ndarray, sign: float) -> np.ndarray:
-        return np.concatenate(([sign * f[1], sign * f[0]], f, [0.0, 0.0]))
+    def extend(f: np.ndarray, parity: float) -> np.ndarray:
+        return np.concatenate(([parity * f[1], parity * f[0]], f, [0.0, 0.0]))
 
-    def fourth_diff(f: np.ndarray, sign: float) -> np.ndarray:
-        g = extend(f, sign)
+    def fourth_diff(f: np.ndarray, parity: float) -> np.ndarray:
+        g = extend(f, parity)
         out = g[4:] - 4.0 * g[3:-1] + 6.0 * g[2:-2] - 4.0 * g[1:-3] + g[:-4]
         out[-2:] = 0.0
         return out
 
-    ga = extend(a, 1.0)
+    ga = extend(a, EVEN)
     # Face third differences: G[j] couples cells j-2 .. j+1 and vanishes at
     # the origin face by parity, so the update telescopes in the w measure.
     third = ga[3:] - 3.0 * ga[2:-1] + 3.0 * ga[1:-2] - ga[:-3]
     face_flux = grid.face_area * grid.dr * third[: grid.n_cells + 1]
     face_flux[-1] = 0.0  # no filter flux through the wall
     a_new = a - coeff * (face_flux[1:] - face_flux[:-1]) / grid.w
-    u_new = u - coeff * fourth_diff(u, -1.0)
-    theta_new = theta - coeff * fourth_diff(theta, 1.0)
+    u_new = u - coeff * fourth_diff(u, ODD)
+    theta_new = theta - coeff * fourth_diff(theta, EVEN)
     return a_new, u_new, theta_new
 
 

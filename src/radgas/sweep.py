@@ -29,7 +29,8 @@ def sweep(
     """Run the base config once per value of the given axis.
 
     Results come back in input order.  Each member gets a derived run_id
-    (and, when out_root is given, its own output directory keyed by it).
+    (and, when out_root is given, its own output directory keyed by it);
+    two values that derive the same run_id are a ConfigError.
     A member that fails is reported through its summary; the sweep carries on.
     Numeric results are identical whether the members run sequentially or in
     parallel worker processes.
@@ -39,17 +40,20 @@ def sweep(
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
 
-    jobs: list[tuple[RunConfig, str | None]] = []
+    members: dict[str, tuple[RunConfig, str | None]] = {}
     for value in values:
         if axis == "n_cells" and not float(value).is_integer():
             raise ConfigError(f"n_cells values must be integers, got {value!r}")
         cast = int(value) if axis == "n_cells" else float(value)
         run_id = f"{base.run_id}-{axis}-{_format_value(axis, cast)}"
+        if run_id in members:
+            raise ConfigError(f"two sweep values name the same member {run_id!r}")
         config = replace(base, **{axis: cast}, run_id=run_id)
         config.validate()
         out_dir = None if out_root is None else str(Path(out_root) / run_id)
-        jobs.append((config, out_dir))
+        members[run_id] = (config, out_dir)
 
+    jobs = list(members.values())
     if not jobs:
         return []
     if parallelism == 1 or len(jobs) == 1:

@@ -27,7 +27,7 @@ from radgas.diagnostics import (  # noqa: E402
 from radgas.dynamics import cfl_dt  # noqa: E402
 from radgas.grid import MIN_CELLS, build_grid  # noqa: E402
 from radgas.integrator import step  # noqa: E402
-from radgas.operators import EVEN, ODD, derivative_array, flip_parity  # noqa: E402
+from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
 from radgas.state import PhysParams, State, make_initial_state, validate  # noqa: E402
 
 ORDERS = range(MAX_DIAG_ORDER + 1)
@@ -81,7 +81,7 @@ def _chain(values, parity, grid, orders):
     p = parity
     for _ in range(orders):
         chain.append(derivative_array(chain[-1], p, grid.dr))
-        p = flip_parity(p)
+        p = -p
     return chain
 
 

@@ -13,7 +13,7 @@ from radgas import EVEN, ODD, PhysParams, State, build_grid, convective_rhs, ste
 from radgas import integrator
 from radgas.config import CRANK_NICOLSON
 from radgas.diagnostics import MAX_DIAG_ORDER, DiagnosticsCollector, _derivative_chain
-from radgas.operators import derivative_array, flip_parity
+from radgas.operators import derivative_array
 from radgas.tridiag import tridiagonal_matvec
 
 
@@ -26,11 +26,10 @@ def sample(grid, fn, parity):
     differentiated wrongly there.
     """
     values = np.asarray(fn(grid.r), dtype=float)
-    sign = {EVEN: 1.0, ODD: -1.0}[parity]
     mirrored = np.asarray(fn(-grid.r), dtype=float)
     scale = np.max(np.abs(values)) + 1e-300
-    if not np.allclose(mirrored, sign * values, rtol=1e-9, atol=1e-12 * scale):
-        raise ValueError(f"profile is not {parity} across the origin")
+    if not np.allclose(mirrored, parity * values, rtol=1e-9, atol=1e-12 * scale):
+        raise ValueError(f"profile does not have parity {parity} across the origin")
     return values
 
 
@@ -205,11 +204,17 @@ def test_parity_check_rejects_mismatch():
     assert abs(derivative_array(f, EVEN, g.dr)[0] - exact) > 0.4
 
 
-def test_flip_parity():
-    assert flip_parity(EVEN) == ODD
-    assert flip_parity(ODD) == EVEN
-    with pytest.raises(ValueError):
-        flip_parity("sideways")
+def test_parity_is_the_ghost_sign():
+    # f(-r) = parity * f(r), so the derivative's parity is -parity
+    assert (EVEN, ODD) == (1.0, -1.0)
+    assert ODD == -EVEN
+
+
+@pytest.mark.parametrize("parity", ["evn", "even", "odd", 0.5, 0.0])
+def test_derivative_rejects_unknown_parity(parity):
+    g = build_grid(r_max=2.0, n_cells=16)
+    with pytest.raises(ValueError, match="parity"):
+        derivative_array(gaussian(g), parity, g.dr)
 
 
 def test_parity_field_validation():

@@ -131,6 +131,15 @@ class TestSweep:
             )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "axis, values", [("eps", [1e-4, 1e-3, 0.001]), ("n_cells", [96, 96.0])]
+    )
+    def test_values_naming_one_member_are_rejected(self, tmp_path, axis, values):
+        # both members used to write one directory, and one of them failed
+        with pytest.raises(ConfigError, match="same member"):
+            sweep(base_config(), axis, values, parallelism=2, out_root=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrongly_typed_base_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cfl must be a real number"):
             sweep(base_config(cfl=None), "eps", [1e-3], out_root=tmp_path)
@@ -367,6 +376,14 @@ class TestCliMain:
             args = ["validate-config", config]
         assert main(args) == 3
         assert "run_id" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
+
+    def test_sweep_verb_values_naming_one_member(self, tmp_path, capsys):
+        config = self.write(tmp_path, BASE_TEXT)
+        args = ["sweep", "--config", config, "--axis", "eps"]
+        args += ["--values", "1e-3,0.001", "--jobs", "2", "--out", str(tmp_path / "m")]
+        assert main(args) == 3
+        assert "sweep-base-eps-0.001" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
 
     def test_sweep_verb_bad_values(self, tmp_path, capsys):
