@@ -30,9 +30,8 @@ class RunConfig:
     """Complete description of one run.
 
     The defaults match the plain small-amplitude use case; every field can
-    be set from a config file.  ``seed`` is carried for randomized state
-    utilities and reproducibility bookkeeping; the solver itself is
-    deterministic and does not consume it.
+    be set from a config file.  ``seed`` is bookkeeping only: the solver is
+    deterministic, and nothing in the package consumes it.
     """
 
     eps: float
@@ -55,7 +54,7 @@ class RunConfig:
 
     def contact_bound(self) -> float:
         """Radius the data can influence by t_end, with safety factor."""
-        r_support = support_radius(self.init_family, self.eps)
+        r_support = support_radius(self.init_family)
         return r_support + CONTACT_SAFETY * self.signal_speed_bound() * self.t_end
 
     def validate(self) -> None:
@@ -174,12 +173,12 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def refine_config(config: RunConfig, factor: int = 2) -> RunConfig:
+def refine_config(config: RunConfig) -> RunConfig:
     """Halve the mesh width (the CFL step then halves along with it)."""
     refined = replace(
         config,
-        n_cells=config.n_cells * factor,
-        run_id=f"{config.run_id}-x{factor}",
+        n_cells=config.n_cells * 2,
+        run_id=f"{config.run_id}-x2",
     )
     refined.validate()
     return refined

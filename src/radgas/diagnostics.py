@@ -65,7 +65,7 @@ class DiagnosticsSink:
     def on_record(self, record: DiagnosticsRecord) -> None:
         pass
 
-    def on_breach(self, state: State, report) -> None:
+    def on_breach(self, state: State) -> None:
         pass
 
 
@@ -79,7 +79,7 @@ class ListSink(DiagnosticsSink):
     def on_record(self, record: DiagnosticsRecord) -> None:
         self.records.append(record)
 
-    def on_breach(self, state: State, report) -> None:
+    def on_breach(self, state: State) -> None:
         self.breach_state = state
 
 

@@ -82,7 +82,6 @@ from .tridiag import tridiagonal_matvec, tridiagonal_solve
 class StepReport:
     """Bookkeeping for one time step."""
 
-    dt_used: float
     validity: ValidityReport
     max_abs_du_dr: float
 
@@ -267,7 +266,6 @@ def step(
             )
         new = State._adopt(a_new, u_new, theta_new, state.t + dt, state.params, report)
         return new, StepReport(
-            dt_used=dt,
             validity=report,
             max_abs_du_dr=float(np.max(np.abs(du_dr))),
         )
@@ -373,7 +371,7 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
         peaks["shock_indicator"] = shock
         if not step_report.validity.ok:
             reason = "positivity-breach"
-            sink.on_breach(state, step_report)
+            sink.on_breach(state)
             break
         if _boundary_contact(state, contact_threshold):
             reason = "boundary-contact"

@@ -42,11 +42,11 @@ def _partial_path(path: Path) -> Path:
 
 class CsvSink(DiagnosticsSink):
     """Stream records to a CSV file as the run produces them.  The file
-    appears under its name only when the sink is closed."""
+    appears under its name only when the sink is closed, or when its with
+    block exits cleanly; after an exception it stays a .partial file."""
 
     def __init__(self, path: str | Path, max_k: int) -> None:
         self.path = Path(path)
-        self.max_k = max_k
         self._fh = open(_partial_path(self.path), "w")
         self._fh.write(timeseries_header(max_k) + "\n")
 
@@ -61,18 +61,19 @@ class CsvSink(DiagnosticsSink):
     def __enter__(self) -> "CsvSink":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        self._fh.close()
 
 
 class BreachDumpSink(DiagnosticsSink):
-    """Dump the full offending state to an .npz file on a positivity breach
-    (``.npz`` is appended to a path that lacks it, as np.savez does)."""
+    """Dump the full offending state to an .npz file on a positivity breach."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path if str(path).endswith(".npz") else f"{path}.npz")
+        self.path = Path(path)
 
-    def on_breach(self, state: State, report) -> None:
+    def on_breach(self, state: State) -> None:
         partial = _partial_path(self.path)
         with open(partial, "wb") as fh:
             np.savez(
@@ -94,9 +95,9 @@ class CompositeSink(DiagnosticsSink):
         for sink in self.sinks:
             sink.on_record(record)
 
-    def on_breach(self, state: State, report) -> None:
+    def on_breach(self, state: State) -> None:
         for sink in self.sinks:
-            sink.on_breach(state, report)
+            sink.on_breach(state)
 
 
 def run_to_dir(config: RunConfig, out_dir: str | Path | None) -> RunSummary:
@@ -132,8 +133,6 @@ def run_to_dir(config: RunConfig, out_dir: str | Path | None) -> RunSummary:
 def write_summary(summary: RunSummary, path: str | Path) -> None:
     """Serialize a RunSummary as JSON with lower_snake_case keys."""
     payload = dataclasses.asdict(summary)
-    payload["final_e_k1"] = list(summary.final_e_k1)
-    payload["final_e_k2"] = list(summary.final_e_k2)
     partial = _partial_path(Path(path))
     with open(partial, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -132,7 +132,7 @@ def validate(state: State) -> ValidityReport:
     return state._validity
 
 
-def support_radius(family: str, eps: float = 0.0) -> float:
+def support_radius(family: str) -> float:
     """Effective support radius of an initial-data family.
 
     For the Gaussian family the cutoff is relative (where the profile drops

@@ -13,12 +13,6 @@ from .output import run_to_dir
 SWEEP_AXES = ("eps", "kappa", "n_cells")
 
 
-def _format_value(axis: str, value: float | int) -> str:
-    if axis == "n_cells":
-        return str(int(value))
-    return repr(float(value))
-
-
 def sweep(
     base: RunConfig,
     axis: str,
@@ -45,7 +39,7 @@ def sweep(
         if axis == "n_cells" and not float(value).is_integer():
             raise ConfigError(f"n_cells values must be integers, got {value!r}")
         cast = int(value) if axis == "n_cells" else float(value)
-        run_id = f"{base.run_id}-{axis}-{_format_value(axis, cast)}"
+        run_id = f"{base.run_id}-{axis}-{cast!r}"
         if run_id in members:
             raise ConfigError(f"two sweep values name the same member {run_id!r}")
         config = replace(base, **{axis: cast}, run_id=run_id)
@@ -54,9 +48,7 @@ def sweep(
         members[run_id] = (config, out_dir)
 
     jobs = list(members.values())
-    if not jobs:
-        return []
-    if parallelism == 1 or len(jobs) == 1:
+    if parallelism == 1 or len(jobs) <= 1:
         return [run_to_dir(config, out_dir) for config, out_dir in jobs]
     with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
         futures = [pool.submit(run_to_dir, c, d) for c, d in jobs]

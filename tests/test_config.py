@@ -289,7 +289,7 @@ class TestValidate:
         config = self.base()
         signal = math.sqrt(2.0 * (1.0 + config.eps)) + config.eps
         expected = (
-            support_radius(config.init_family, config.eps)
+            support_radius(config.init_family)
             + CONTACT_SAFETY * signal * config.t_end
         )
         assert config.contact_bound() == pytest.approx(expected, rel=1e-15)
@@ -308,11 +308,6 @@ class TestRefineConfig:
         assert fine.run_id == f"{base.run_id}-x2"
         assert fine.r_max == base.r_max
         assert fine.t_end == base.t_end
-
-    def test_custom_factor(self):
-        base = parse_config(MINIMAL)
-        fine = refine_config(base, factor=4)
-        assert fine.n_cells == 4 * base.n_cells
 
 
 def small_data_global(n_cells, run_id):

@@ -10,7 +10,7 @@ import pytest
 
 from radgas import integrator
 from radgas.config import RunConfig, RunSummary
-from radgas.diagnostics import DiagnosticsRecord
+from radgas.diagnostics import DiagnosticsRecord, DiagnosticsSink, ListSink
 from radgas.output import (
     BreachDumpSink,
     CompositeSink,
@@ -227,6 +227,37 @@ class TestSummaryJson:
         assert "RuntimeError: solver exploded" in payload["error"]
         assert run_to_dir(TINY, None).termination_reason == "error"
 
+    @staticmethod
+    def stop_at_step(monkeypatch, number, exc):
+        real_step, calls = integrator.step, []
+
+        def stopping(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == number:
+                raise exc
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "step", stopping)
+
+    def test_interrupted_run_publishes_no_csv(self, tmp_path, monkeypatch):
+        # records at steps 0, 2 and 4, then Ctrl-C: no summary, and the rows
+        # stay under the .partial name instead of posing as a whole run
+        self.stop_at_step(monkeypatch, 5, KeyboardInterrupt)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run_to_dir(dataclasses.replace(TINY, output_every=2), out)
+        assert [p.name for p in out.iterdir()] == ["timeseries.csv.partial"]
+        assert read_timeseries(out / "timeseries.csv.partial")[1].shape == (3, 13)
+
+    def test_failed_run_keeps_its_rows_partial(self, tmp_path, monkeypatch):
+        self.stop_at_step(monkeypatch, 5, RuntimeError("solver exploded"))
+        out = tmp_path / "run"
+        summary = run_to_dir(dataclasses.replace(TINY, output_every=2), out)
+        assert summary.termination_reason == "error"
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["summary.json", "timeseries.csv.partial"]
+        assert read_timeseries(out / "timeseries.csv.partial")[1].shape == (3, 13)
+
 
 class TestBreachDump:
     def test_state_round_trips(self, tmp_path):
@@ -239,7 +270,7 @@ class TestBreachDump:
             params=PhysParams(kappa=0.5),
         )
         path = tmp_path / "dump.npz"
-        BreachDumpSink(path).on_breach(state, report=None)
+        BreachDumpSink(path).on_breach(state)
         with np.load(path) as data:
             assert np.array_equal(data["a"], state.a)
             assert np.array_equal(data["u"], state.u)
@@ -260,12 +291,8 @@ class TestBreachDump:
 
         monkeypatch.setattr(np, "savez", broken_savez)
         with pytest.raises(OSError):
-            BreachDumpSink(tmp_path / "state_dump.npz").on_breach(self.ZERO, report=None)
+            BreachDumpSink(tmp_path / "state_dump.npz").on_breach(self.ZERO)
         assert not (tmp_path / "state_dump.npz").exists()
-
-    def test_keeps_the_name_savez_gives(self, tmp_path):
-        BreachDumpSink(tmp_path / "dump").on_breach(self.ZERO, report=None)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.npz"]
 
 
 class TestCompositeSink:
@@ -278,14 +305,34 @@ class TestCompositeSink:
             def on_record(self, record):
                 self.records += 1
 
-            def on_breach(self, state, report):
+            def on_breach(self, state):
                 self.breaches += 1
 
         counters = [Counter(), Counter()]
         sink = CompositeSink(*counters)
         sink.on_record(make_record(0.0))
         sink.on_record(make_record(1.0))
-        sink.on_breach(None, None)
+        sink.on_breach(None)
         for counter in counters:
             assert counter.records == 2
             assert counter.breaches == 1
+
+    def test_a_sink_without_on_breach_survives_a_breach(self):
+        # a sink may override on_record alone, as perfbench's StampSink does
+        class Counter(DiagnosticsSink):
+            def __init__(self):
+                self.records = 0
+
+            def on_record(self, record):
+                self.records += 1
+
+        # without conduction the 0.3-amplitude data breaches at t = 4.58
+        breaching = RunConfig(
+            eps=0.3, kappa=0.0, r_max=34.0, n_cells=680, t_end=12.0, cfl=0.4,
+            output_every=10,
+        )
+        listing, counter = ListSink(), Counter()
+        summary = integrator.run(breaching, CompositeSink(listing, counter))
+        assert summary.termination_reason == "positivity-breach"
+        assert listing.breach_state is not None
+        assert counter.records == len(listing.records) > 1

@@ -16,14 +16,15 @@ By t = 1 the data has not reached r = R/2, so the wall does not enter.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from radgas import dynamics
-from radgas.config import BACKWARD_EULER, CRANK_NICOLSON
+from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, preset
 from radgas.grid import build_grid
-from radgas.integrator import step
+from radgas.integrator import run, step
 from radgas.operators import EVEN
 from radgas.state import PhysParams, make_initial_state
 
@@ -95,3 +96,17 @@ def test_the_ladder_sees_a_wrong_origin_ghost(monkeypatch):
     )
     with pytest.raises(AssertionError, match="order"):
         assert_order(sup_errors(1.0, CRANK_NICOLSON, 0.0), 1.8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the breach is the origin grid mode, not a shock: cells 0-2 breach "
+    "at t = 3.89, 2.36 and 1.38 for n = 1400, 2800 and 5600",
+)
+def test_steepening_breach_time_holds_under_refinement():
+    # Criterion 7's unfiltered kappa = 0 run.  A physical blow-up would
+    # breach at nearly the same time on both meshes; with filter_coeff 0.01
+    # the same data runs to t = 20 at every n.
+    base = preset("no-conduction-steepening")
+    coarse, fine = (run(replace(base, n_cells=n)).t_final for n in (1400, 2800))
+    assert fine == pytest.approx(coarse, rel=0.1)

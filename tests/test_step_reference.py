@@ -112,7 +112,6 @@ def reference_step(state, grid, dt, scheme, filter_coeff):
     def finish(a, u, theta):
         new = State(a=a, u=u, theta=theta, t=t_new, params=state.params)
         return new, StepReport(
-            dt_used=dt,
             validity=validate(new),
             max_abs_du_dr=float(np.max(np.abs(derivative_array(u, ODD, grid.dr)))),
         )
@@ -166,7 +165,6 @@ def report_bytes(report):
         return np.float64(x).tobytes()
 
     return (
-        b(report.dt_used),
         v.ok,
         b(v.min_density),
         b(v.min_temperature),
