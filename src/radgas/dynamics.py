@@ -53,33 +53,39 @@ def flux_divergence(m: np.ndarray, grid: RadialGrid) -> np.ndarray:
     update relies on.
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    m_face = np.empty(n + 1)
-    m_face[0] = 0.0
-    m_face[1:-1] = 0.5 * (m[:-1] + m[1:])
-    m_face[-1] = 0.0
-    flux = grid.face_area * m_face
-    return (flux[1:] - flux[:-1]) / grid.w
+    flux = np.empty(m.shape[0] + 1)
+    inner = flux[1:-1]
+    np.add(m[:-1], m[1:], out=inner)
+    inner *= 0.5
+    inner *= grid.face_area[1:-1]
+    flux[0] = flux[-1] = 0.0
+    out = flux[1:] - flux[:-1]
+    out /= grid.w
+    return out
 
 
 def convective_rhs_arrays(
-    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid
+    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid, du=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array kernel of :func:`convective_rhs`: (da_dt, du_dt, dtheta_dt).
+    """Array kernel of :func:`convective_rhs`, un-negated: (-da_dt, -du_dt,
+    -dtheta_dt).  ``du`` is du/dr of u if the caller has it.
 
     It does not check the state; the caller vouches that 1 + a > 0.
     """
     dr = grid.dr
     rho = 1.0 + a
     temp = 1.0 + theta
-    da_dt = -flux_divergence(rho * u, grid)
-    du = derivative_array(u, ODD, dr)
+    if du is None:
+        du = derivative_array(u, ODD, dr)
     dtheta = derivative_array(theta, EVEN, dr)
     da = derivative_array(a, EVEN, dr)
-    du_dt = -(u * du + dtheta + temp / rho * da)
-    div_u = du + 2.0 * u / grid.r
-    dtheta_dt = -(u * dtheta + temp * div_u)
-    return da_dt, du_dt, dtheta_dt
+    u_sum = u * du + dtheta + temp / rho * da
+    # u dtheta + temp (du + 2 u / r) in place, operands in order for NaN bits
+    div_u = 2.0 * u / grid.r
+    temp *= np.add(du, div_u, out=div_u)
+    theta_sum = u * dtheta
+    theta_sum += temp
+    return flux_divergence(rho * u, grid), u_sum, theta_sum
 
 
 def convective_rhs(
@@ -95,7 +101,7 @@ def convective_rhs(
             f"min temperature {report.min_temperature}, "
             f"finite={report.all_finite}"
         )
-    return convective_rhs_arrays(state.a, state.u, state.theta, grid)
+    return tuple(-x for x in convective_rhs_arrays(state.a, state.u, state.theta, grid))
 
 
 def assemble_sym_system(
@@ -170,7 +176,7 @@ def characteristic_speeds(a, u, theta):
 
 def cfl_dt_arrays(u: np.ndarray, theta: np.ndarray, dr: float, cfl: float) -> float:
     """Array kernel of :func:`cfl_dt`; it checks neither the state nor cfl."""
-    speed = float(np.max(np.abs(u) + sound_speed(theta)))
+    speed = float(np.maximum.reduce(np.abs(u) + sound_speed(theta)))
     return cfl * dr / speed
 
 

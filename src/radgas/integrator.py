@@ -20,9 +20,11 @@ their check, so neither the next step nor the diagnostics check it again.
 
 Finite-propagation window: without conduction the system is symmetric
 hyperbolic, and the explicit update moves data a few cells per step.  A
-kappa = 0 step therefore runs on the first min(n, s + _REACH) cells, s being
-the input's support (derivation at _REACH), and copies the zero tail, with
-the full mesh's bytes.  With kappa > 0 the implicit solve fills every cell.
+kappa = 0 step therefore runs on the first s + _REACH cells (n if that cuts
+off no more than _SLACK), s being the input's support (derivation at _REACH),
+and copies the zero tail, with the full mesh's bytes; a kappa = 0 run keeps
+its state and grid cut until the cut nears the guard band.  With kappa > 0
+the implicit solve fills every cell.
 
 Both ends of the domain are closed: zero flux at the origin by parity and
 an insulated rigid wall at r_max.  Mass is then conserved to rounding no
@@ -41,6 +43,7 @@ rate, while perturbing smooth fields only at third order in dr).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -184,25 +187,28 @@ def _fourth_difference_filter(
     Stability requires coeff <= 1/16.
     """
 
-    def extend(f: np.ndarray, parity: float) -> np.ndarray:
-        return np.concatenate(([parity * f[1], parity * f[0]], f, [0.0, 0.0]))
-
-    def fourth_diff(f: np.ndarray, parity: float) -> np.ndarray:
-        g = extend(f, parity)
-        out = g[4:] - 4.0 * g[3:-1] + 6.0 * g[2:-2] - 4.0 * g[1:-3] + g[:-4]
+    def filtered(f: np.ndarray, parity: float) -> np.ndarray:
+        # f - coeff * (g[4:] - 4 g[3:-1] + 6 g[2:-2] - 4 g[1:-3] + g[:-4]) in
+        # place and in order; one product 4 g (3 g below) serves two slices
+        g = np.concatenate((parity * f[1::-1], f, (0.0, 0.0)))  # ghosts by parity
+        g4 = 4.0 * g
+        out = g[4:] - g4[3:-1]
+        out += 6.0 * f
+        out -= g4[1:-3]
+        out += g[:-4]
         out[-2:] = 0.0
-        return out
+        out *= coeff
+        return np.subtract(f, out, out=out)
 
-    ga = extend(a, EVEN)
+    ga = np.concatenate((EVEN * a[1::-1], a, (0.0, 0.0)))
+    g3 = 3.0 * ga
     # Face third differences: G[j] couples cells j-2 .. j+1 and vanishes at
     # the origin face by parity, so the update telescopes in the w measure.
-    third = ga[3:] - 3.0 * ga[2:-1] + 3.0 * ga[1:-2] - ga[:-3]
+    third = ga[3:] - g3[2:-1] + g3[1:-2] - ga[:-3]
     face_flux = grid.face_area * grid.dr * third[: grid.n_cells + 1]
     face_flux[-1] = 0.0  # no filter flux through the wall
     a_new = a - coeff * (face_flux[1:] - face_flux[:-1]) / grid.w
-    u_new = u - coeff * fourth_diff(u, ODD)
-    theta_new = theta - coeff * fourth_diff(theta, EVEN)
-    return a_new, u_new, theta_new
+    return a_new, filtered(u, ODD), filtered(theta, EVEN)
 
 
 #: Cells beyond the input's support [0, s) that a kappa = 0 step reaches:
@@ -211,19 +217,42 @@ def _fourth_difference_filter(
 #: they are, where the full mesh uses cells m-4 .. m, so the stage-2 support
 #: s+2 must end by m-4: R = 6.  The one-sided derivative and the closed wall
 #: faces then see only zeros, and the final one-sided du/dr at m-1 reads only
-#: cell m-3, giving the full mesh's |du/dr| at m-2 (same maximum).
+#: cell m-3, giving the full mesh's |du/dr| at m-2 (same maximum), on any m.
 _REACH = 6
+#: Spare cells a window may hold past s + _REACH, so run() regrows it rarely.
+_SLACK = 16
 
 
-def _window(state: State, n: int) -> int:
-    """min(n, s + _REACH), s one past the last cell where a, u or theta is
-    not +0.0.  NaN, inf and -0.0 count as data: the update keeps a run of
-    +0.0 cells bitwise fixed, but not every signed zero."""
+def _zero_tail(state: State, k: int) -> bool:
+    """Whether a, u and theta all end in k cells of +0.0 (bitwise)."""
+    a, u, theta = (f[-k:].tobytes() for f in (state.a, state.u, state.theta))
+    return a == u == theta == bytes(8 * k)
+
+
+def _support(state: State) -> int:
+    """One past the last cell where a, u or theta is not +0.0 (NaN, inf and
+    -0.0 are data: the update keeps +0.0 cells bitwise, not every -0.0)."""
     bits = state.a.view(np.uint64) | state.u.view(np.uint64)
     bits |= state.theta.view(np.uint64)
     nonzero = (bits != 0)[::-1]
     last = int(nonzero.argmax())
-    return min(n, (n - last if nonzero[last] else 0) + _REACH)
+    return bits.shape[0] - last if nonzero[last] else 0
+
+
+def _crop_grid(grid: RadialGrid, m: int) -> RadialGrid:
+    """The grid of the first m cells, views of the full one's arrays."""
+    faces, area = grid.faces[: m + 1], grid.face_area[: m + 1]
+    return RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
+
+
+def _resize(state: State, m: int) -> State:
+    """The state cut or padded with +0.0 to m cells.  It keeps its check,
+    which +0.0 cells at its end (_REACH) do not change."""
+    if m == state.a.shape[0]:
+        return state
+    tail = np.zeros(max(0, m - state.a.shape[0]))
+    fields = (np.concatenate((f[:m], tail)) for f in (state.a, state.u, state.theta))
+    return State._adopt(*fields, state.t, state.params, state._validity)
 
 
 def step(
@@ -236,7 +265,7 @@ def step(
     """Advance one Strang-split step; on a positivity breach the offending
     state is returned together with a failing validity report instead of
     raising."""
-    if dt <= 0.0 or not np.isfinite(dt):
+    if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     _check_scheme(scheme)
     if not 0.0 <= filter_coeff <= MAX_FILTER_COEFF:
@@ -250,47 +279,45 @@ def step(
         raise StateValidityError("step requires a valid input state")
 
     kappa = state.params.kappa
-    m = n if kappa > 0.0 else _window(state, n)
-    if m < n:  # a grid of the first m cells, views of the full one's arrays
-        faces, area = grid.faces[: m + 1], grid.face_area[: m + 1]
-        grid = RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
+    m = n  # kappa = 0: s + _REACH, unless the last _REACH + _SLACK + 1 cells hold data
+    if kappa == 0.0 and _zero_tail(state, _REACH + _SLACK + 1):
+        m = _support(state) + _REACH
+        grid = _crop_grid(grid, m)
     a, u, theta = state.a[:m], state.u[:m], state.theta[:m]
+    # du/dr of the input's u, if it has it on this mesh: conduction keeps u
+    du = state._du_dr[1] if m == n and state._du_dr[0] == grid.dr else None
 
     def finish(a_new, u_new, theta_new, report):
         # the window's last cells stay 0 (_REACH): its check is the mesh's
         du_dr = derivative_array(u_new, ODD, grid.dr)
-        if m < n:
-            tail = np.zeros(n - m)
-            a_new, u_new, theta_new = (
-                np.concatenate((f, tail)) for f in (a_new, u_new, theta_new)
-            )
-        new = State._adopt(a_new, u_new, theta_new, state.t + dt, state.params, report)
-        return new, StepReport(
-            validity=report,
-            max_abs_du_dr=float(np.max(np.abs(du_dr))),
-        )
+        t, params = state.t + dt, state.params
+        new = State._adopt(a_new, u_new, theta_new, t, params, report, (grid.dr, du_dr))
+        max_du = float(np.maximum.reduce(np.abs(du_dr)))
+        return _resize(new, n), StepReport(validity=report, max_abs_du_dr=max_du)
 
     # First conduction half step (density coefficient frozen at entry).
     th0 = theta
     if kappa > 0.0:
         th0 = _diffusion_solve_arrays(theta, a, grid, 0.5 * dt, kappa, scheme)
-        if not (np.isfinite(th0).all() and np.min(1.0 + th0) > 0.0):
+        # fl(1 + x) is nondecreasing; a NaN propagates to both ends
+        lo, hi = np.minimum.reduce(th0), np.maximum.reduce(th0)
+        if not (math.isfinite(hi) and 1.0 + lo > 0.0):
             return finish(a, u, th0, check_fields(a, u, th0))
 
-    # Convective substep, stage 1: forward Euler.
-    da_dt, du_dt, dth_dt = convective_rhs(a, u, th0, grid)
-    a1 = a + dt * da_dt
-    u1 = u + dt * du_dt
-    th1 = th0 + dt * dth_dt
+    # Convective substep.  The kernel returns (-da/dt, -du/dt, -dtheta/dt),
+    # and f + dt * (-x) is f - dt * x bit for bit.  Stage 1: forward Euler.
+    a1, u1, th1 = convective_rhs(a, u, th0, grid, du)
+    for f, f1 in zip((a, u, th0), (a1, u1, th1)):
+        np.subtract(f, np.multiply(f1, dt, out=f1), out=f1)
     validity = check_fields(a1, u1, th1)
     if not validity.ok:
         return finish(a1, u1, th1, validity)
 
     # Stage 2: average with a forward-Euler step from stage 1.
-    da_dt, du_dt, dth_dt = convective_rhs(a1, u1, th1, grid)
-    a2 = 0.5 * (a + a1 + dt * da_dt)
-    u2 = 0.5 * (u + u1 + dt * du_dt)
-    th2 = 0.5 * (th0 + th1 + dt * dth_dt)
+    a2, u2, th2 = a + a1, u + u1, th0 + th1
+    for f, r in zip((a2, u2, th2), convective_rhs(a1, u1, th1, grid)):
+        f -= np.multiply(r, dt, out=r)
+        f *= 0.5
     validity = check_fields(a2, u2, th2)
     if not validity.ok:
         return finish(a2, u2, th2, validity)
@@ -350,17 +377,23 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
     contact_threshold = 1e-4 * config.eps + 1e-300
     record = emit(state)
 
+    n, window_grid = grid.n_cells, grid
+    m = n if config.kappa > 0.0 else _support(state) + _REACH + _SLACK
+
     reason = "time-complete"
     steps = 0
     time_tol = 1e-12 * config.t_end
     cfl = float(config.cfl)
     while state.t < config.t_end - time_tol:
+        if m != state.a.shape[0]:
+            m = n if m > n - _GUARD_CELLS else m
+            state, window_grid = _resize(state, m), _crop_grid(grid, m)
         # No state check here: the initial state is valid by construction
         # and every later one passed the breach check below.
         dt = min(cfl_dt(state.u, state.theta, grid.dr, cfl), config.t_end - state.t)
         state, step_report = step(
             state,
-            grid,
+            window_grid,
             dt,
             scheme=config.diffusion_scheme,
             filter_coeff=config.filter_coeff,
@@ -371,14 +404,16 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
         peaks["shock_indicator"] = shock
         if not step_report.validity.ok:
             reason = "positivity-breach"
-            sink.on_breach(state)
+            sink.on_breach(_resize(state, n))
             break
-        if _boundary_contact(state, contact_threshold):
+        if m < n and not _zero_tail(state, _REACH):
+            m = _support(state) + _REACH + _SLACK
+        if state.a.shape[0] == n and _boundary_contact(state, contact_threshold):
             reason = "boundary-contact"
             record = emit(state)
             break
         if steps % config.output_every == 0 or state.t >= config.t_end - time_tol:
-            record = emit(state)
+            record = emit(_resize(state, n))
 
     return RunSummary(
         run_id=config.run_id,

@@ -24,10 +24,10 @@ def derivative_array(values: np.ndarray, parity: float, dr: float) -> np.ndarray
     one-sided second-order at the outer edge.  Array-level kernel."""
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be EVEN (1.0) or ODD (-1.0), got {parity!r}")
-    n = values.shape[0]
-    out = np.empty(n)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
-    # The ghost at -dr/2 is parity * f[0].
+    out = np.empty(values.shape[0])
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dr
+    # The ghost at -dr/2 is parity * f[0].  Python floats would pick other NaNs.
     out[0] = (values[1] - parity * values[0]) / (2.0 * dr)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
     return out

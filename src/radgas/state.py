@@ -65,6 +65,7 @@ class State:
     _validity: ValidityReport | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _du_dr = (None, None)  # not a field: (dr, du/dr of u) from the step kernel
 
     def __post_init__(self) -> None:
         for name in ("a", "u", "theta"):
@@ -81,13 +82,13 @@ class State:
         object.__setattr__(self, "t", float(self.t))
 
     @classmethod
-    def _adopt(cls, a, u, theta, t, params, validity: ValidityReport) -> State:
+    def _adopt(cls, a, u, theta, t, params, validity, du_dr=(None, None)) -> State:
         """The step kernel's result: its arrays locked, not copied, and checked."""
         for arr in (a, u, theta):
             arr.setflags(write=False)
         state = object.__new__(cls)
         vars(state).update(a=a, u=u, theta=theta, t=float(t), params=params)
-        vars(state)["_validity"] = validity
+        vars(state).update(_validity=validity, _du_dr=du_dr)
         return state
 
 
@@ -106,16 +107,14 @@ class ValidityReport:
 
 def check_fields(a: np.ndarray, u: np.ndarray, theta: np.ndarray) -> ValidityReport:
     """Array kernel of :func:`validate`: positivity of 1 + a and 1 + theta
-    and finiteness of the three fields."""
-    finite = bool(
-        np.isfinite(a).all() and np.isfinite(u).all() and np.isfinite(theta).all()
-    )
+    and finiteness of the three fields, from their mins and maxes (NaN spreads)."""
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    lo_a, lo_theta = float(lo(a)), float(lo(theta))
+    finite = all(map(math.isfinite, (lo_a, lo_theta, hi(a), hi(theta), lo(u), hi(u))))
     if finite:
-        min_density = float(1.0 + a.min())
-        min_temperature = float(1.0 + theta.min())
+        min_density, min_temperature = 1.0 + lo_a, 1.0 + lo_theta
     else:
-        min_density = float("nan")
-        min_temperature = float("nan")
+        min_density = min_temperature = float("nan")
     ok = finite and min_density > 0.0 and min_temperature > 0.0
     return ValidityReport(
         ok=ok,

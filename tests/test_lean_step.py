@@ -1,0 +1,192 @@
+"""The lean step: rewritten kernels keep their bytes, and the savings stay.
+
+``check_fields``, ``derivative_array`` and ``flux_divergence`` reduce and
+write in place; the ``reference_*`` copies below are their earlier bodies.
+Every output has to match bit for bit, NaN and signed zeros included.  The
+last tests pin what a step and a run no longer repeat: a step reads the
+du/dr that the previous step left on its State, and a conduction-free run
+keeps its CFL step on the window between records.  The final one pins the
+one place where a step's bytes may differ from the reference composition:
+the sign of a NaN born where a tendency overflows.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from radgas import dynamics, integrator  # noqa: E402
+from radgas.config import CRANK_NICOLSON, RunConfig  # noqa: E402
+from radgas.dynamics import flux_divergence  # noqa: E402
+from radgas.grid import MIN_CELLS, build_grid  # noqa: E402
+from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
+from radgas.state import (  # noqa: E402
+    PhysParams,
+    State,
+    ValidityReport,
+    check_fields,
+    make_initial_state,
+)
+from test_step_reference import reference_step, report_bytes  # noqa: E402
+
+
+def reference_check_fields(a, u, theta):
+    finite = bool(
+        np.isfinite(a).all() and np.isfinite(u).all() and np.isfinite(theta).all()
+    )
+    if finite:
+        min_density = float(1.0 + a.min())
+        min_temperature = float(1.0 + theta.min())
+    else:
+        min_density = float("nan")
+        min_temperature = float("nan")
+    ok = finite and min_density > 0.0 and min_temperature > 0.0
+    return ValidityReport(
+        ok=ok,
+        min_density=min_density,
+        min_temperature=min_temperature,
+        all_finite=finite,
+    )
+
+
+def reference_derivative_array(values, parity, dr):
+    n = values.shape[0]
+    out = np.empty(n)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
+    out[0] = (values[1] - parity * values[0]) / (2.0 * dr)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
+    return out
+
+
+def reference_flux_divergence(m, grid):
+    n = m.shape[0]
+    m_face = np.empty(n + 1)
+    m_face[0] = 0.0
+    m_face[1:-1] = 0.5 * (m[:-1] + m[1:])
+    m_face[-1] = 0.0
+    flux = grid.face_area * m_face
+    return (flux[1:] - flux[:-1]) / grid.w
+
+
+SPECIAL = [
+    np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+    5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+]
+
+
+@st.composite
+def fields(draw, n):
+    """A float field of n cells, with special values at edge cells too."""
+    values = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+    f = draw(arrays(float, n, elements=values))
+    cells = st.sampled_from([0, 1, 2, n - 3, n - 2, n - 1])
+    for cell in draw(st.lists(cells, max_size=4)):
+        f[cell] = draw(st.sampled_from(SPECIAL))
+    return f
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 40).flatmap(lambda n: st.tuples(*[fields(n)] * 3)))
+def test_check_fields_gives_the_reference_report(abc):
+    a, u, theta = abc
+    with np.errstate(all="ignore"):
+        new, ref = check_fields(a, u, theta), reference_check_fields(a, u, theta)
+    assert (new.ok, new.all_finite) == (ref.ok, ref.all_finite)
+    assert bits(new.min_density) == bits(ref.min_density)
+    assert bits(new.min_temperature) == bits(ref.min_temperature)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 40).flatmap(fields),
+    st.sampled_from([EVEN, ODD]),
+    st.one_of(st.floats(1e-300, 1e300), st.sampled_from([5e-324, 0.05, 1.0])),
+)
+def test_derivative_array_gives_the_reference_bytes(values, parity, dr):
+    with np.errstate(all="ignore"):
+        new = derivative_array(values, parity, dr)
+        ref = reference_derivative_array(values, parity, dr)
+    assert new.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(MIN_CELLS, 40).flatmap(lambda n: st.tuples(st.just(n), fields(n))),
+    st.floats(0.5, 100.0),
+)
+def test_flux_divergence_gives_the_reference_bytes(n_m, r_max):
+    n, m = n_m
+    grid = build_grid(r_max, n)
+    with np.errstate(all="ignore"):
+        new, ref = flux_divergence(m, grid), reference_flux_divergence(m, grid)
+    assert new.tobytes() == ref.tobytes()
+
+
+def test_a_step_reuses_the_du_dr_of_the_previous_step(monkeypatch):
+    # stage 1 reads u unchanged by conduction, so after the first step a
+    # kappa > 0 step takes 6 derivatives: 2 + 3 in the stages, 1 at the end
+    calls = []
+
+    def counted(values, parity, dr):
+        calls.append(values.shape[0])
+        return derivative_array(values, parity, dr)
+
+    monkeypatch.setattr(integrator, "derivative_array", counted)
+    monkeypatch.setattr(dynamics, "derivative_array", counted)
+    grid = build_grid(20.0, 200)
+    state = make_initial_state(grid, "gaussian-bump", 1e-2, PhysParams(kappa=1.0))
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        state, report = integrator.step(state, grid, 0.01, CRANK_NICOLSON, 0.01)
+        assert report.validity.ok
+        counts.append(len(calls))
+    assert counts == [7, 6, 6]
+
+
+def test_conduction_free_run_keeps_its_cfl_step_on_the_window(monkeypatch):
+    # the support stays well inside the mesh, so between records run()
+    # never widens the state to the n cells of the mesh
+    config = RunConfig(
+        eps=1e-3, kappa=0.0, init_family="compact-bump", r_max=24.0, n_cells=240,
+        t_end=0.5, output_every=5, diffusion_scheme=CRANK_NICOLSON,
+        filter_coeff=0.01,
+    )
+    lengths = []
+
+    def spy(u, theta, dr, cfl):
+        lengths.append(u.shape[0])
+        return dynamics.cfl_dt_arrays(u, theta, dr, cfl)
+
+    monkeypatch.setattr(integrator, "cfl_dt", spy)
+    summary = integrator.run(config)
+    assert summary.termination_reason == "time-complete"
+    assert len(lengths) == summary.steps > 20
+    assert max(lengths) < config.n_cells
+
+
+def test_overflow_breach_differs_from_the_reference_only_in_nan_signs():
+    # The stages compute f - dt * x where the reference composition forms
+    # f + dt * (-x).  The two agree bit for bit unless x is NaN, which a
+    # tendency becomes only when it overflows; such a state fails its check,
+    # and its NaNs carry the other sign bit.
+    grid = build_grid(20.0, 40)
+    bump = 1e200 * np.exp(-np.linspace(0.0, 4.0, 40) ** 2)
+    state = State(a=bump, u=bump, theta=bump, t=0.0, params=PhysParams(kappa=0.0))
+    with np.errstate(all="ignore"):
+        new, report = integrator.step(state, grid, 1e-3)
+        ref, ref_report = reference_step(state, grid, 1e-3, "backward-euler", 0.0)
+    assert not report.validity.ok
+    assert report_bytes(report) == report_bytes(ref_report)
+    pairs = [(new.a, ref.a), (new.u, ref.u), (new.theta, ref.theta)]
+    assert any(np.isnan(f).any() for f, _ in pairs)
+    for f, g in pairs:
+        assert np.abs(f).tobytes() == np.abs(g).tobytes()
+        assert f[~np.isnan(f)].tobytes() == g[~np.isnan(g)].tobytes()

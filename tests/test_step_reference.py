@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig
-from radgas.diagnostics import DiagnosticsCollector, ListSink
+from radgas.diagnostics import SCALAR_FIELDS, DiagnosticsCollector, ListSink
 from radgas.dynamics import cfl_dt, convective_rhs, flux_divergence
 from radgas.grid import build_grid
 from radgas.integrator import StepReport, run, step
@@ -249,3 +249,89 @@ def test_run_records_match_reference_loop():
             records.append(collector.update(state))
     assert summary.steps == steps
     assert sink.records == records
+
+
+def reference_run(config):
+    """run() as a loop over the reference step on the full mesh: records,
+    steps, reason, peaks, final time and the breached state, if any."""
+    grid = build_grid(config.r_max, config.n_cells)
+    params = PhysParams(kappa=config.kappa)
+    state = make_initial_state(grid, config.init_family, config.eps, params)
+    collector = DiagnosticsCollector(grid, config.diag_max_k)
+    records = [collector.update(state)]
+    shock, steps, reason, breached = 0.0, 0, "time-complete", None
+    threshold = 1e-4 * config.eps + 1e-300
+    tol = 1e-12 * config.t_end
+    while state.t < config.t_end - tol:
+        dt = min(reference_cfl_dt(state, grid, config.cfl), config.t_end - state.t)
+        state, report = reference_step(
+            state, grid, dt, config.diffusion_scheme, config.filter_coeff
+        )
+        steps += 1
+        shock = max(shock, report.max_abs_du_dr)
+        if not report.validity.ok:
+            reason, breached = "positivity-breach", state
+            break
+        band = [f[-4:] for f in (state.a, state.u, state.theta)]
+        if np.abs(np.concatenate(band)).max() > threshold:
+            reason = "boundary-contact"
+            records.append(collector.update(state))
+            break
+        if steps % config.output_every == 0 or state.t >= config.t_end - tol:
+            records.append(collector.update(state))
+    peaks = {
+        name: max(abs(getattr(record, name)) for record in records)
+        for name in SCALAR_FIELDS
+    }
+    peaks["shock_indicator"] = max(peaks["shock_indicator"], shock)
+    return records, steps, reason, peaks, state.t, breached
+
+
+#: Conduction-free runs: config values and the expected termination reason.
+RUN_CASES = {
+    # kappa = 0: the run keeps its state on a window well inside the mesh
+    "kappa0-window": (
+        dict(eps=1e-3, kappa=0.0, init_family="compact-bump", r_max=24.0,
+             n_cells=240, diffusion_scheme=CRANK_NICOLSON, filter_coeff=0.01),
+        "time-complete",
+    ),
+    # kappa = 0: a steepening wave breaches while the state is on a window
+    "kappa0-breach": (
+        dict(eps=0.3, kappa=0.0, r_max=48.0, n_cells=960, t_end=10.0, cfl=0.4,
+             output_every=10),
+        "positivity-breach",
+    ),
+    # kappa = 0: the window grows into the guard band, the run takes the
+    # full mesh and then meets the wall (the contact bound is switched off)
+    "kappa0-contact": (
+        dict(eps=1e-3, kappa=0.0, init_family="compact-bump", r_max=8.0,
+             n_cells=80, t_end=4.0, filter_coeff=0.01),
+        "boundary-contact",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_conduction_free_run_matches_reference_loop(case, monkeypatch):
+    # with kappa = 0, run() keeps its state cut to a window between records;
+    # its records, summary and breached state must equal those of the
+    # full-mesh reference loop
+    values, expected_reason = RUN_CASES[case]
+    defaults = dict(r_max=12.0, n_cells=120, t_end=0.5, cfl=0.25, output_every=5)
+    config = RunConfig(**{**defaults, **values})
+    if expected_reason == "boundary-contact":
+        monkeypatch.setattr(RunConfig, "validate", lambda self: None)
+    sink = ListSink()
+    summary = run(config, sink)
+
+    records, steps, reason, peaks, t_final, breached = reference_run(config)
+    assert reason == summary.termination_reason == expected_reason
+    assert summary.steps == steps
+    assert summary.t_final == t_final
+    assert summary.peaks == peaks
+    assert sink.records == records
+    if breached is None:
+        assert sink.breach_state is None
+    else:
+        assert sink.breach_state.a.shape == (config.n_cells,)
+        assert field_bytes(sink.breach_state) == field_bytes(breached)

@@ -1,7 +1,8 @@
 """The finite-propagation window of a conduction-free step.
 
-With kappa = 0 a step computes only the first min(n, s + 6) cells, s being
-one past the last cell of its input that is not +0.0.  It must give the
+With kappa = 0 a step computes only the first s + 6 cells (all n cells when
+that would leave out at most 16), s being one past the last cell of its
+input that is not +0.0.  It must give the
 bytes of the full-mesh composition in ``tests/test_step_reference.py``,
 breach path included, and the window must be exactly that wide: no
 narrower at kappa = 0 (wrong bytes) and not used at kappa > 0.
@@ -90,6 +91,8 @@ def compact_state(n, s, kappa):
         (0.0, 50, 50 + REACH),
         (0.0, 0, REACH),
         (0.0, 195, 200),
+        (0.0, 177, 177 + REACH),  # cuts off 17 cells
+        (0.0, 178, 200),  # would cut off 16 cells: not worth a cut
         (1.0, 50, 200),
     ],
 )
