@@ -116,7 +116,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -106,13 +106,28 @@ class RunConfig:
             or self.run_id.strip().splitlines() != [self.run_id]
         ):
             problems.append(f"run_id must be a plain file name, got {self.run_id!r}")
-        if not problems and self.init_family in INIT_FAMILIES:
+        if not problems:
             bound = self.contact_bound()
             if bound > self.r_max:
                 problems.append(
                     "boundary-no-contact violated: support radius plus "
                     f"{CONTACT_SAFETY} * signal speed * t_end = {bound:.3f} "
                     f"exceeds r_max = {self.r_max}; enlarge r_max or shorten t_end"
+                )
+            # The kernels divide by the outer cell volume w (as build_grid forms
+            # it) and conduction by w * dr.  A conduction half step needs weight
+            # * max(m_lower + m_upper) <= 2**48; on the first, row 0 alone gives
+            # weight * 3 kappa / ((1 + eps) dr^2), weight = dt/2 (BE) or dt/4 (CN).
+            r, dr = self.r_max, self.r_max / self.n_cells
+            f = (self.n_cells - 1) * dr  # the outer cell's inner face
+            if not math.isfinite(4.0 * math.pi / 3.0 * (r * r * r - f * f * f) * dr):
+                problems.append(f"w * dr of the outer cell overflows at r_max = {r}")
+            dt = min(self.cfl * dr / self.signal_speed_bound(), self.t_end)
+            weight = dt / (2.0 if self.diffusion_scheme == BACKWARD_EULER else 4.0)
+            if weight * 3.0 * self.kappa > 2.0**48 * (1.0 + self.eps) * dr * dr:
+                problems.append(
+                    f"kappa = {self.kappa} makes the first conduction step lose "
+                    "diagonal dominance: weight * 3 kappa / ((1 + eps) dr^2) > 2**48"
                 )
         if problems:
             raise ConfigError("; ".join(problems))

@@ -154,8 +154,10 @@ class DiagnosticsCollector:
                 (orders j <= K-1 only),
 
     from which e_k1[k] = sum_{j<=k} (sup_j + int_th_j) and
-    e_k2[k] = sum_{j<k} int_au_j.  States must arrive in nondecreasing time
-    order; all accumulators are nondecreasing in time.
+    e_k2[k] = sum_{j<k} int_au_j.  The integrals and their rates are one
+    vector each: int_th_0 .. int_th_K, then int_au_0 .. int_au_{K-1}.
+    States must arrive in nondecreasing time order; all accumulators are
+    nondecreasing in time.
     """
 
     def __init__(self, grid: RadialGrid, max_k: int) -> None:
@@ -167,11 +169,9 @@ class DiagnosticsCollector:
         self.grid = grid
         self.max_k = max_k
         self._sup = np.zeros(max_k + 1)
-        self._int_theta = np.zeros(max_k + 1)
-        self._int_au = np.zeros(max_k)
+        self._int = np.zeros(2 * max_k + 1)
         self._prev_t: float | None = None
-        self._prev_theta_rates = np.zeros(max_k + 1)
-        self._prev_au_rates = np.zeros(max_k)
+        self._prev_rates = np.zeros(2 * max_k + 1)
 
     def update(self, state: State) -> DiagnosticsRecord:
         """One record in one pass: the state is checked once, and a to order
@@ -186,8 +186,7 @@ class DiagnosticsCollector:
         u_sq = [float(w @ (f**2)) for f in u_chain[: k + 1]]
         th_sq = [float(w @ (f**2)) for f in th_chain]
         trip = np.array([a_sq[j] + u_sq[j] + th_sq[j] for j in range(k + 1)])
-        theta_rates = np.array(th_sq[1:])
-        au_rates = np.array([a_sq[j + 1] + u_sq[j + 1] for j in range(k)])
+        rates = np.array(th_sq[1:] + [a_sq[j] + u_sq[j] for j in range(1, k + 1)])
 
         t = float(state.t)
         if self._prev_t is None:
@@ -197,15 +196,12 @@ class DiagnosticsCollector:
             if dt < 0.0:
                 raise ValueError("samples must arrive in nondecreasing time order")
             np.maximum(self._sup, trip, out=self._sup)
-            self._int_theta += 0.5 * dt * (self._prev_theta_rates + theta_rates)
-            self._int_au += 0.5 * dt * (self._prev_au_rates + au_rates)
-        self._prev_t = t
-        self._prev_theta_rates = theta_rates
-        self._prev_au_rates = au_rates
+            self._int += 0.5 * dt * (self._prev_rates + rates)
+        self._prev_t, self._prev_rates = t, rates
         return DiagnosticsRecord(
             t,
             *_record_scalars(w, state.a, state.u, state.theta, u_chain[1], th_chain[1]),
-            e_k1=tuple(np.cumsum(self._sup + self._int_theta).tolist()),
-            e_k2=tuple(np.cumsum(self._int_au).tolist()),
-            grad_theta_sq=float(theta_rates[0]),
+            e_k1=tuple(np.cumsum(self._sup + self._int[: k + 1]).tolist()),
+            e_k2=tuple(np.cumsum(self._int[k + 1 :]).tolist()),
+            grad_theta_sq=float(rates[0]),
         )

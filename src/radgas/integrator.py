@@ -89,9 +89,11 @@ class StepReport:
     max_abs_du_dr: float
 
 
-def _check_scheme(scheme: str) -> None:
-    # Checked on entry: with kappa = 0 the conduction solve never runs, so
-    # it cannot be the place that rejects an unknown scheme.
+def _check_step_args(dt: float, scheme: str) -> None:
+    # The scheme is checked on entry: with kappa = 0 the conduction solve
+    # never runs, so it cannot be the place that rejects an unknown scheme.
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if scheme not in DIFFUSION_SCHEMES:
         raise ValueError(
             f"unknown diffusion scheme {scheme!r}; expected one of {DIFFUSION_SCHEMES}"
@@ -158,11 +160,8 @@ def solve_diffusion(
     """
     theta_star = np.asarray(theta_star, dtype=float)
     a = np.asarray(a, dtype=float)
-    _check_scheme(scheme)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    _check_step_args(dt, scheme)
+    PhysParams(kappa=kappa)  # raises unless kappa is finite and >= 0
     if np.min(1.0 + a) <= 0.0:
         raise StateValidityError("solve_diffusion requires 1 + a > 0")
     if kappa == 0.0:
@@ -265,9 +264,7 @@ def step(
     """Advance one Strang-split step; on a positivity breach the offending
     state is returned together with a failing validity report instead of
     raising."""
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    _check_scheme(scheme)
+    _check_step_args(dt, scheme)
     if not 0.0 <= filter_coeff <= MAX_FILTER_COEFF:
         raise ValueError(
             f"filter_coeff must lie in [0, {MAX_FILTER_COEFF}], got {filter_coeff}"

@@ -17,7 +17,6 @@ from .grid import RadialGrid
 GAUSSIAN_BUMP = "gaussian-bump"
 COMPACT_BUMP = "compact-bump"
 ZERO = "zero"
-INIT_FAMILIES = (GAUSSIAN_BUMP, COMPACT_BUMP, ZERO)
 
 #: Radius of the polynomial bump used by the compact family.
 BUMP_RADIUS = 4.0
@@ -25,6 +24,19 @@ BUMP_RADIUS = 4.0
 #: Radius beyond which exp(-r^2) has decayed below 1e-14 of its peak; used
 #: as the effective support radius of the Gaussian family.
 GAUSSIAN_SUPPORT_RADIUS = math.sqrt(math.log(1e14))
+
+#: Initial-data family -> (support radius, length scale, shape p): a = theta
+#: = eps * p(x) and u = (eps * x) * p(x), with x = r / scale.
+_FAMILIES = {
+    GAUSSIAN_BUMP: (GAUSSIAN_SUPPORT_RADIUS, 1.0, lambda x: np.exp(-(x**2))),
+    COMPACT_BUMP: (
+        BUMP_RADIUS,
+        BUMP_RADIUS,
+        lambda x: np.where(x < 1.0, (1.0 - np.minimum(x, 1.0) ** 2) ** 3, 0.0),
+    ),
+    ZERO: (0.0, 1.0, np.zeros_like),
+}
+INIT_FAMILIES = tuple(_FAMILIES)
 
 
 class StateValidityError(ValueError):
@@ -131,19 +143,21 @@ def validate(state: State) -> ValidityReport:
     return state._validity
 
 
+def _family(family: str) -> tuple:
+    if family not in _FAMILIES:
+        raise ValueError(
+            f"unknown init family {family!r}; expected one of {INIT_FAMILIES}"
+        )
+    return _FAMILIES[family]
+
+
 def support_radius(family: str) -> float:
     """Effective support radius of an initial-data family.
 
     For the Gaussian family the cutoff is relative (where the profile drops
     to 1e-14 of its amplitude), so the radius does not depend on eps.
     """
-    if family == GAUSSIAN_BUMP:
-        return GAUSSIAN_SUPPORT_RADIUS
-    if family == COMPACT_BUMP:
-        return BUMP_RADIUS
-    if family == ZERO:
-        return 0.0
-    raise ValueError(f"unknown init family {family!r}; expected one of {INIT_FAMILIES}")
+    return _family(family)[0]
 
 
 def make_initial_state(
@@ -166,27 +180,10 @@ def make_initial_state(
     eps = float(eps)
     if not np.isfinite(eps) or eps < 0.0 or eps >= 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if family not in INIT_FAMILIES:
-        raise ValueError(
-            f"unknown init family {family!r}; expected one of {INIT_FAMILIES}"
-        )
+    _, scale, shape = _family(family)
     if params is None:
         params = PhysParams()
-
-    r = grid.r
-    if family == GAUSSIAN_BUMP:
-        profile = np.exp(-(r**2))
-        a = eps * profile
-        u = eps * r * profile
-        theta = eps * profile
-    elif family == COMPACT_BUMP:
-        s = r / BUMP_RADIUS
-        shape = np.where(s < 1.0, (1.0 - np.minimum(s, 1.0) ** 2) ** 3, 0.0)
-        a = eps * shape
-        u = eps * s * shape
-        theta = eps * shape
-    else:
-        a = np.zeros_like(r)
-        u = np.zeros_like(r)
-        theta = np.zeros_like(r)
-    return State(a=a, u=u, theta=theta, t=0.0, params=params)
+    x = grid.r / scale
+    profile = shape(x)
+    a = eps * profile
+    return State(a=a, u=eps * x * profile, theta=a, t=0.0, params=params)

@@ -26,15 +26,6 @@ def tridiagonal_matvec(
     return out
 
 
-def _check_dominance(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
-    """Raise ValueError unless |diag| - (|lower| + |upper|) is positive and
-    finite in every row (an infinite or NaN coefficient leaves it infinite
-    or NaN)."""
-    slack = np.abs(diag) - (np.abs(lower) + np.abs(upper))
-    if not np.all((slack > 0.0) & (slack < np.inf)):
-        raise ValueError("tridiagonal system lost diagonal dominance or finiteness")
-
-
 def tridiagonal_solve(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -89,6 +80,9 @@ class TridiagonalSystem:
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """Solve the system through :func:`tridiagonal_solve` after checking
-    that it is strictly diagonally dominant and finite row by row."""
-    _check_dominance(system.lower, system.diag, system.upper)
+    that it is strictly diagonally dominant and finite row by row (an
+    infinite or NaN coefficient leaves the row's slack infinite or NaN)."""
+    slack = np.abs(system.diag) - (np.abs(system.lower) + np.abs(system.upper))
+    if not np.all((slack > 0.0) & (slack < np.inf)):
+        raise ValueError("tridiagonal system lost diagonal dominance or finiteness")
     return tridiagonal_solve(system.lower, system.diag, system.upper, system.rhs)

@@ -185,6 +185,7 @@ class TestValidate:
 
     def test_valid_config_passes(self):
         self.base().validate()
+        self.base(r_max=1e76, n_cells=16).validate()
 
     @pytest.mark.parametrize(
         "overrides, fragment",
@@ -200,6 +201,17 @@ class TestValidate:
             ({"r_max": math.nan}, "r_max"),
             # a nan horizon used to run zero steps and report time-complete
             ({"t_end": math.nan}, "t_end"),
+            # the outer cell's w is NaN: kappa = 0 breached with NaN records,
+            # kappa = 1 raised in the conduction solve
+            ({"r_max": 1e104, "n_cells": 16, "kappa": 0.0}, "outer cell overflows"),
+            ({"r_max": 1e104, "n_cells": 16}, "outer cell overflows"),
+            # w * dr overflowed, and conduction was silently zero
+            ({"r_max": 1e80, "n_cells": 16}, "outer cell overflows"),
+            # validated, then failed the first conduction half step
+            (
+                {"r_max": 12.0, "n_cells": 120, "t_end": 0.01, "kappa": 1e16},
+                "diagonal dominance",
+            ),
         ],
     )
     def test_rejects_non_finite_or_unstable(self, overrides, fragment):
@@ -284,6 +296,27 @@ class TestValidate:
     def test_parse_rejects_non_finite(self, old, new):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, CRANK_NICOLSON])
+    def test_conduction_dominance_bound_rejects_only_failing_configs(
+        self, monkeypatch, scheme
+    ):
+        # the bound weight * 3 kappa / ((1 + eps) dr^2) <= 2**48 of row 0 in
+        # the first half step: just past it the run fails that step's own
+        # precondition, just inside it the step runs
+        config = self.base(r_max=12.0, n_cells=120, t_end=0.01, diffusion_scheme=scheme)
+        dr, weight = 0.1, 0.01 / (2.0 if scheme == BACKWARD_EULER else 4.0)
+        kappa_max = 2.0**48 * (1.0 + config.eps) * dr * dr / (3.0 * weight)
+        inside = dataclasses.replace(config, kappa=0.999 * kappa_max)
+        outside = dataclasses.replace(config, kappa=1.001 * kappa_max)
+        inside.validate()
+        dataclasses.replace(config, kappa=1e14).validate()
+        with pytest.raises(ConfigError, match="diagonal dominance"):
+            outside.validate()
+        monkeypatch.setattr(RunConfig, "validate", lambda self: None)
+        assert run(inside).steps == 1
+        with pytest.raises(ValueError, match="diagonal dominance"):
+            run(outside)
 
     def test_contact_bound_formula(self):
         config = self.base()

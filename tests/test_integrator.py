@@ -8,6 +8,7 @@ import pytest
 
 from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig
 from radgas.diagnostics import ListSink
+from radgas.dynamics import cfl_dt
 from radgas.grid import build_grid
 from radgas.integrator import _boundary_contact, run, solve_diffusion, step
 from radgas.output import timeseries_header
@@ -135,6 +136,28 @@ class TestSolveDiffusion:
             solve_diffusion(zero, zero, grid, dt=0.1, scheme="leapfrog")
         with pytest.raises(StateValidityError):
             solve_diffusion(zero, np.full(grid.n_cells, -1.5), grid, dt=0.1)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt_as_step_does(self, dt, kappa):
+        # dt = nan with kappa = 0 used to return theta unchanged
+        grid = build_grid(8.0, 64)
+        state = make_initial_state(grid, "gaussian-bump", 1e-3)
+        with pytest.raises(ValueError) as from_step:
+            step(state, grid, dt)
+        with pytest.raises(ValueError) as from_solve:
+            solve_diffusion(state.theta, state.a, grid, dt, kappa=kappa)
+        assert str(from_solve.value) == str(from_step.value)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rejects_non_finite_kappa_as_params_do(self, kappa):
+        grid = build_grid(8.0, 64)
+        zero = np.zeros(grid.n_cells)
+        with pytest.raises(ValueError) as from_params:
+            PhysParams(kappa=kappa)
+        with pytest.raises(ValueError) as from_solve:
+            solve_diffusion(zero, zero, grid, dt=0.1, kappa=kappa)
+        assert str(from_solve.value) == str(from_params.value)
 
     def test_rejects_unknown_scheme_without_conduction(self):
         # with kappa = 0 no solve runs, so the scheme is checked on entry
@@ -342,6 +365,18 @@ class TestRun:
             assert record.lyapunov == 0.0
             assert record.shock_indicator == 0.0
         assert all(v == 0.0 for v in summary.peaks.values())
+
+    def test_run_lands_on_t_end(self):
+        # Zero data keeps the CFL step dt constant, so t_end = 40 dt (1 + 5e-7)
+        # leaves a 41st step of about 2e-5 dt, 5e-7 t_end: a run that stopped
+        # within 1e-6 t_end of t_end would skip it and end short.
+        config = tiny_config(eps=0.0, init_family="zero")
+        grid = build_grid(config.r_max, config.n_cells)
+        dt = cfl_dt(make_initial_state(grid, "zero", 0.0), grid, config.cfl)
+        t_end = 40 * dt * (1.0 + 5e-7)
+        summary = run(dataclasses.replace(config, t_end=t_end))
+        assert summary.steps == 41
+        assert abs(summary.t_final - t_end) <= 1e-12 * t_end
 
     def test_record_cadence_and_summary(self):
         sink = ListSink()

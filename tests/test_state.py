@@ -141,6 +141,18 @@ def test_validate_flags_nonfinite(grid):
     assert not rep.all_finite
 
 
+@pytest.mark.parametrize("name", ["a", "theta"])
+def test_minus_one_exactly_is_a_breach(name):
+    # 1 + a = 0 is vacuum and 1 + theta = 0 zero absolute temperature: both
+    # fail, as any value below -1 does
+    fields = {key: np.zeros(8) for key in ("a", "u", "theta")}
+    fields[name][3] = -1.0
+    report = check_fields(**fields)
+    assert report.all_finite
+    assert not report.ok
+    assert min(report.min_density, report.min_temperature) == 0.0
+
+
 def test_replace_returns_new_state(grid):
     # dataclasses.replace re-runs the constructor: new state, arrays locked
     s = make_initial_state(grid, GAUSSIAN_BUMP, 1e-2)

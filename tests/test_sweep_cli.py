@@ -229,6 +229,18 @@ class TestCliMain:
             ("r_max = 12.0", "r_max = inf"),
             ("cfl = 0.25", "cfl = 0.25\nfilter_coeff = nan"),
             ("cfl = 0.25", "cfl = 0.25\nfilter_coeff = 0.5"),
+            # the outer cell's volume w or w * dr overflows
+            (
+                "kappa = 1.0\nr_max = 12.0\nn_cells = 96",
+                "kappa = 0.0\nr_max = 1e104\nn_cells = 16",
+            ),
+            ("r_max = 12.0\nn_cells = 96", "r_max = 1e104\nn_cells = 16"),
+            ("r_max = 12.0\nn_cells = 96", "r_max = 1e80\nn_cells = 16"),
+            # the first conduction half step cannot keep diagonal dominance
+            (
+                "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
+                "kappa = 1e16\nr_max = 12.0\nn_cells = 120\nt_end = 0.01",
+            ),
         ],
     )
     def test_non_finite_or_unstable_value_is_config_error(
