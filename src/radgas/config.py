@@ -114,14 +114,18 @@ class RunConfig:
                     f"{CONTACT_SAFETY} * signal speed * t_end = {bound:.3f} "
                     f"exceeds r_max = {self.r_max}; enlarge r_max or shorten t_end"
                 )
-            # The kernels divide by the outer cell volume w (as build_grid forms
-            # it) and conduction by w * dr.  A conduction half step needs weight
-            # * max(m_lower + m_upper) <= 2**48; on the first, row 0 alone gives
+            # The kernels divide by the cell volumes w (as build_grid forms
+            # them) and conduction by w * dr: the outer w * dr must not
+            # overflow, and the innermost w (its outer face is dr exactly) must
+            # be normal, >= 2**-1022.  A conduction half step needs weight *
+            # max(m_lower + m_upper) <= 2**48; on the first, row 0 alone gives
             # weight * 3 kappa / ((1 + eps) dr^2), weight = dt/2 (BE) or dt/4 (CN).
             r, dr = self.r_max, self.r_max / self.n_cells
             f = (self.n_cells - 1) * dr  # the outer cell's inner face
             if not math.isfinite(4.0 * math.pi / 3.0 * (r * r * r - f * f * f) * dr):
                 problems.append(f"w * dr of the outer cell overflows at r_max = {r}")
+            if not 4.0 * math.pi / 3.0 * (dr * dr * dr) >= 2.0**-1022:
+                problems.append(f"w of the innermost cell underflows at r_max = {r}")
             dt = min(self.cfl * dr / self.signal_speed_bound(), self.t_end)
             weight = dt / (2.0 if self.diffusion_scheme == BACKWARD_EULER else 4.0)
             if weight * 3.0 * self.kappa > 2.0**48 * (1.0 + self.eps) * dr * dr:

@@ -21,6 +21,8 @@ same 4 pi r^2 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -83,26 +85,38 @@ class ListSink(DiagnosticsSink):
         self.breach_state = state
 
 
-def _record_scalars(w, a, u, theta, du, dtheta) -> tuple[float, ...]:
+def _record_scalars(w, a, u, theta, shock, u_sq, dtheta_sq) -> tuple[float, ...]:
     """Array kernel of a record's scalars, in SCALAR_FIELDS order.
 
-    Each pointwise term that two integrals share is formed once.  The log
-    terms need 1 + a > 0 and 1 + theta > 0.
+    Each pointwise term that two integrals share is formed once, and the
+    Sobolev norms' squares ``u_sq`` = u**2 and ``dtheta_sq`` =
+    (dtheta/dr)**2 are passed in; ``shock`` is max |du/dr|.  The Lyapunov
+    integrand starts from the entropy integrand e = (1+a)(ln(1+theta) -
+    ln(1+a)): (1+a)(ln(1+a) - ln(1+theta)) is -e exactly, and -e + k is
+    k - e.  The log terms need 1 + a > 0 and 1 + theta > 0.  ``w.dot`` is
+    the BLAS dot that ``w @`` calls, without the matmul dispatch.
     """
+    dot = w.dot
     one_a = 1.0 + a
-    kinetic = one_a * u**2 / 2.0
+    momentum = float(dot(one_a * u))
+    kinetic = one_a * u_sq
+    kinetic /= 2.0
     a_theta = a * theta
-    log_a = np.log1p(a)
-    log_theta = np.log1p(theta)
-    return (
-        float(w @ a),
-        float(w @ (one_a * u)),
-        float(w @ (kinetic + a_theta + theta)),
-        float(w @ (one_a * (log_theta - log_a))),
-        float(w @ (dtheta**2 / (1.0 + theta) ** 2)),
-        float(w @ (one_a * (log_a - log_theta) + kinetic - a + a_theta + theta)),
-        float(np.max(np.abs(du))),
-    )
+    energy = float(dot(kinetic + a_theta + theta))
+    # each buffer is reused once read, so that few arrays are alive at once
+    entropy = np.log1p(theta)
+    entropy -= np.log1p(a)
+    entropy *= one_a
+    entropy_total = float(dot(entropy))
+    lyapunov = np.subtract(kinetic, entropy, out=kinetic)
+    lyapunov -= a
+    lyapunov += a_theta
+    lyapunov += theta
+    temp_sq = np.add(1.0, theta, out=entropy)
+    np.square(temp_sq, out=temp_sq)
+    dissipation = float(dot(np.divide(dtheta_sq, temp_sq, out=temp_sq)))
+    mass, lyapunov_total = float(dot(a)), float(dot(lyapunov))
+    return mass, momentum, energy, entropy_total, dissipation, lyapunov_total, shock
 
 
 def taylor_remainder(a, theta):
@@ -130,6 +144,11 @@ def shock_indicator(state: State, grid: RadialGrid) -> float:
     return float(np.max(np.abs(derivative_array(state.u, ODD, grid.dr))))
 
 
+def _running_max(sup: float, value: float) -> float:
+    """max(sup, value) that keeps a NaN from either side, as np.maximum does."""
+    return value if value > sup or value != value else sup
+
+
 def _derivative_chain(
     values: np.ndarray, parity: float, grid: RadialGrid, orders: int
 ) -> list[np.ndarray]:
@@ -155,9 +174,14 @@ class DiagnosticsCollector:
 
     from which e_k1[k] = sum_{j<=k} (sup_j + int_th_j) and
     e_k2[k] = sum_{j<k} int_au_j.  The integrals and their rates are one
-    vector each: int_th_0 .. int_th_K, then int_au_0 .. int_au_{K-1}.
+    list of floats each: int_th_0 .. int_th_K, then int_au_0 .. int_au_{K-1}.
     States must arrive in nondecreasing time order; all accumulators are
     nondecreasing in time.
+
+    A record reads du/dr and its max from the state's derivative memo when
+    the step left them there at this cell width, and leaves da/dr there for
+    the next step's first stage: the same kernel on the same array and cell
+    width gives the same bits, so a record does not change a run.
     """
 
     def __init__(self, grid: RadialGrid, max_k: int) -> None:
@@ -168,25 +192,36 @@ class DiagnosticsCollector:
             )
         self.grid = grid
         self.max_k = max_k
-        self._sup = np.zeros(max_k + 1)
-        self._int = np.zeros(2 * max_k + 1)
+        self._sup = [0.0] * (max_k + 1)
+        self._int = [0.0] * (2 * max_k + 1)
         self._prev_t: float | None = None
-        self._prev_rates = np.zeros(2 * max_k + 1)
+        self._prev_rates = [0.0] * (2 * max_k + 1)
 
     def update(self, state: State) -> DiagnosticsRecord:
         """One record in one pass: the state is checked once, and a to order
-        K, u to max(K, 1) and theta to K+1 are each derived and normed once."""
+        K, u to max(K, 1) and theta to K+1 are each derived and normed once
+        (du/dr not at all if the state carries it)."""
         if not validate(state).ok:
             raise StateValidityError("diagnostics require a valid state")
         grid, w, k = self.grid, self.grid.w, self.max_k
+        dot = w.dot
+        memo_dr, du, _, shock = state._derivs
+        if memo_dr != grid.dr or du.shape[0] != grid.n_cells:
+            du = derivative_array(state.u, ODD, grid.dr)
+            shock = float(np.maximum.reduce(np.abs(du)))
         a_chain = _derivative_chain(state.a, EVEN, grid, k)
-        u_chain = _derivative_chain(state.u, ODD, grid, max(k, 1))
+        u_chain = [state.u, *_derivative_chain(du, EVEN, grid, max(k, 1) - 1)]
         th_chain = _derivative_chain(state.theta, EVEN, grid, k + 1)
-        a_sq = [float(w @ (f**2)) for f in a_chain]
-        u_sq = [float(w @ (f**2)) for f in u_chain[: k + 1]]
-        th_sq = [float(w @ (f**2)) for f in th_chain]
-        trip = np.array([a_sq[j] + u_sq[j] + th_sq[j] for j in range(k + 1)])
-        rates = np.array(th_sq[1:] + [a_sq[j] + u_sq[j] for j in range(1, k + 1)])
+        vars(state)["_derivs"] = (grid.dr, du, a_chain[1] if k else None, shock)
+        # u**2 and theta'**2 serve the scalars too; every other square is
+        # freed after its dot, which keeps the record's live arrays few
+        u2, dtheta2 = state.u**2, th_chain[1] ** 2
+        a_sq = [float(dot(f**2)) for f in a_chain]
+        u_sq = [float(dot(u2)), *(float(dot(f**2)) for f in u_chain[1 : k + 1])]
+        th_sq = [float(dot(th_chain[0] ** 2)), float(dot(dtheta2))]
+        th_sq += (float(dot(f**2)) for f in th_chain[2:])
+        trip = [a_sq[j] + u_sq[j] + th_sq[j] for j in range(k + 1)]
+        rates = th_sq[1:] + [a_sq[j] + u_sq[j] for j in range(1, k + 1)]
 
         t = float(state.t)
         if self._prev_t is None:
@@ -195,13 +230,15 @@ class DiagnosticsCollector:
             dt = t - self._prev_t
             if dt < 0.0:
                 raise ValueError("samples must arrive in nondecreasing time order")
-            np.maximum(self._sup, trip, out=self._sup)
-            self._int += 0.5 * dt * (self._prev_rates + rates)
+            self._sup = list(map(_running_max, self._sup, trip))
+            half_dt = 0.5 * dt
+            pairs = zip(self._int, self._prev_rates, rates)
+            self._int = [i + half_dt * (p + r) for i, p, r in pairs]
         self._prev_t, self._prev_rates = t, rates
         return DiagnosticsRecord(
             t,
-            *_record_scalars(w, state.a, state.u, state.theta, u_chain[1], th_chain[1]),
-            e_k1=tuple(np.cumsum(self._sup + self._int[: k + 1]).tolist()),
-            e_k2=tuple(np.cumsum(self._int[k + 1 :]).tolist()),
-            grad_theta_sq=float(rates[0]),
+            *_record_scalars(w, state.a, state.u, state.theta, shock, u2, dtheta2),
+            e_k1=tuple(accumulate(map(add, self._sup, self._int))),
+            e_k2=tuple(accumulate(self._int[k + 1 :])),
+            grad_theta_sq=rates[0],
         )

@@ -65,10 +65,11 @@ def flux_divergence(m: np.ndarray, grid: RadialGrid) -> np.ndarray:
 
 
 def convective_rhs_arrays(
-    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid, du=None
+    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid, du=None, da=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array kernel of :func:`convective_rhs`, un-negated: (-da_dt, -du_dt,
-    -dtheta_dt).  ``du`` is du/dr of u if the caller has it.
+    -dtheta_dt).  ``du`` and ``da`` are du/dr of u and da/dr of a if the
+    caller has them.
 
     It does not check the state; the caller vouches that 1 + a > 0.
     """
@@ -78,7 +79,8 @@ def convective_rhs_arrays(
     if du is None:
         du = derivative_array(u, ODD, dr)
     dtheta = derivative_array(theta, EVEN, dr)
-    da = derivative_array(a, EVEN, dr)
+    if da is None:
+        da = derivative_array(a, EVEN, dr)
     u_sum = u * du + dtheta + temp / rho * da
     # u dtheta + temp (du + 2 u / r) in place, operands in order for NaN bits
     div_u = 2.0 * u / grid.r

@@ -119,19 +119,26 @@ def _diffusion_solve_arrays(
     1 + a > 0 and ``scheme`` is one of DIFFUSION_SCHEMES, which the caller
     guarantees.  Raises ValueError where rounding could lose dominance.
     """
-    c = kappa / ((1.0 + a_frozen) * grid.w * grid.dr)
+    # Built in place, in arrays allocated here only; each operation keeps its
+    # operands, or swaps a product's two factors, so the bits stay the same.
+    c = np.add(1.0, a_frozen)
+    c *= grid.w
+    c *= grid.dr
+    np.divide(kappa, c, out=c)
     m_lower = c * grid.face_area[:-1]
-    m_upper = c * grid.face_area[1:]
+    m_upper = np.multiply(c, grid.face_area[1:], out=c)
     m_upper[-1] = 0.0  # insulated wall: no conductive flux through the outer face
-    m_diag = -(m_lower + m_upper)
+    m_diag = np.add(m_lower, m_upper)
+    np.negative(m_diag, out=m_diag)
     m_lower[0] = 0.0  # origin face area vanishes anyway; keep the invariant explicit
     if scheme == BACKWARD_EULER:
         weight = dt
         rhs = theta_star
     else:
         weight = 0.5 * dt
-        m_theta = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
-        rhs = theta_star + 0.5 * dt * m_theta
+        rhs = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
+        rhs *= 0.5 * dt
+        np.add(theta_star, rhs, out=rhs)
     # Dominance in floating point: with m_lower, m_upper >= 0 and q =
     # fl(weight * (m_lower + m_upper)) <= 2**48 in a row, the rounded diag is
     # >= (1 + q)(1 - u) and |lower| + |upper| <= q (1 + u)**2 / (1 - u)**2,
@@ -139,9 +146,11 @@ def _diffusion_solve_arrays(
     # 5.01 u q >= 0.84.  NaN and inf fail the comparison.
     if not weight * -float(m_diag.min()) <= 2.0**48:
         raise ValueError("conduction system may lose diagonal dominance")
-    return tridiagonal_solve(
-        -weight * m_lower, 1.0 - weight * m_diag, -weight * m_upper, rhs
-    )
+    m_lower *= -weight
+    m_diag *= weight
+    np.subtract(1.0, m_diag, out=m_diag)
+    m_upper *= -weight
+    return tridiagonal_solve(m_lower, m_diag, m_upper, rhs)
 
 
 def solve_diffusion(
@@ -281,15 +290,19 @@ def step(
         m = _support(state) + _REACH
         grid = _crop_grid(grid, m)
     a, u, theta = state.a[:m], state.u[:m], state.theta[:m]
-    # du/dr of the input's u, if it has it on this mesh: conduction keeps u
-    du = state._du_dr[1] if m == n and state._du_dr[0] == grid.dr else None
+    # du/dr and da/dr of the input, if it has them on this mesh: the first
+    # conduction half step changes neither u nor a
+    memo_dr, du, da, _ = state._derivs
+    if m != n or memo_dr != grid.dr:
+        du = da = None
 
     def finish(a_new, u_new, theta_new, report):
         # the window's last cells stay 0 (_REACH): its check is the mesh's
         du_dr = derivative_array(u_new, ODD, grid.dr)
         t, params = state.t + dt, state.params
-        new = State._adopt(a_new, u_new, theta_new, t, params, report, (grid.dr, du_dr))
         max_du = float(np.maximum.reduce(np.abs(du_dr)))
+        derivs = (grid.dr, du_dr, None, max_du)
+        new = State._adopt(a_new, u_new, theta_new, t, params, report, derivs)
         return _resize(new, n), StepReport(validity=report, max_abs_du_dr=max_du)
 
     # First conduction half step (density coefficient frozen at entry).
@@ -303,7 +316,7 @@ def step(
 
     # Convective substep.  The kernel returns (-da/dt, -du/dt, -dtheta/dt),
     # and f + dt * (-x) is f - dt * x bit for bit.  Stage 1: forward Euler.
-    a1, u1, th1 = convective_rhs(a, u, th0, grid, du)
+    a1, u1, th1 = convective_rhs(a, u, th0, grid, du, da)
     for f, f1 in zip((a, u, th0), (a1, u1, th1)):
         np.subtract(f, np.multiply(f1, dt, out=f1), out=f1)
     validity = check_fields(a1, u1, th1)
@@ -335,7 +348,9 @@ _GUARD_CELLS = 4
 
 def _boundary_contact(state: State, threshold: float) -> bool:
     # Run after every step, so it reads the band's 12 values as Python
-    # floats instead of paying for three numpy reductions.
+    # floats instead of paying for three numpy reductions.  `>` and `>=`
+    # differ only when a band value equals the threshold exactly, so no test
+    # tells them apart: the threshold only has to sit far below the front.
     band = slice(-_GUARD_CELLS, None)
     values = state.a[band].tolist() + state.u[band].tolist()
     return max(map(abs, values + state.theta[band].tolist())) > threshold

@@ -77,7 +77,9 @@ class State:
     _validity: ValidityReport | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _du_dr = (None, None)  # not a field: (dr, du/dr of u) from the step kernel
+    # Not a field: (dr, du/dr, da/dr, max |du/dr|) at cell width dr, None
+    # where not taken.  The step sets all but da/dr, a diagnostics record all.
+    _derivs = (None, None, None, None)
 
     def __post_init__(self) -> None:
         for name in ("a", "u", "theta"):
@@ -94,13 +96,13 @@ class State:
         object.__setattr__(self, "t", float(self.t))
 
     @classmethod
-    def _adopt(cls, a, u, theta, t, params, validity, du_dr=(None, None)) -> State:
+    def _adopt(cls, a, u, theta, t, params, validity, derivs=_derivs) -> State:
         """The step kernel's result: its arrays locked, not copied, and checked."""
         for arr in (a, u, theta):
             arr.setflags(write=False)
         state = object.__new__(cls)
         vars(state).update(a=a, u=u, theta=theta, t=float(t), params=params)
-        vars(state).update(_validity=validity, _du_dr=du_dr)
+        vars(state).update(_validity=validity, _derivs=derivs)
         return state
 
 

@@ -186,6 +186,9 @@ class TestValidate:
     def test_valid_config_passes(self):
         self.base().validate()
         self.base(r_max=1e76, n_cells=16).validate()
+        # the innermost cell volume is about 1e-303, still a normal double
+        tiny = dict(kappa=0.0, init_family="zero", n_cells=16)
+        self.base(r_max=1e-100, t_end=1e-101, **tiny).validate()
 
     @pytest.mark.parametrize(
         "overrides, fragment",
@@ -207,6 +210,13 @@ class TestValidate:
             ({"r_max": 1e104, "n_cells": 16}, "outer cell overflows"),
             # w * dr overflowed, and conduction was silently zero
             ({"r_max": 1e80, "n_cells": 16}, "outer cell overflows"),
+            # the innermost cell's w underflows to 0: the zero state breached
+            # after one step with an invalid-value warning at out /= grid.w
+            (
+                {"r_max": 1e-120, "n_cells": 16, "t_end": 1e-121, "kappa": 0.0,
+                 "init_family": "zero"},
+                "innermost cell underflows",
+            ),
             # validated, then failed the first conduction half step
             (
                 {"r_max": 12.0, "n_cells": 120, "t_end": 0.01, "kappa": 1e16},

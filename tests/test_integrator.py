@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig
-from radgas.diagnostics import ListSink
+from radgas.diagnostics import SCALAR_FIELDS, ListSink
 from radgas.dynamics import cfl_dt
 from radgas.grid import build_grid
-from radgas.integrator import _boundary_contact, run, solve_diffusion, step
-from radgas.output import timeseries_header
+from radgas import integrator
+from radgas.integrator import (
+    _boundary_contact,
+    _diffusion_solve_arrays,
+    run,
+    solve_diffusion,
+    step,
+)
+from radgas.output import format_record, timeseries_header
 from radgas.state import PhysParams, State, StateValidityError, make_initial_state
 
 SCHEMES = (BACKWARD_EULER, CRANK_NICOLSON)
@@ -122,6 +129,18 @@ class TestSolveDiffusion:
         for kappa in (0.0, 1.0):
             out = solve_diffusion(theta_star, np.zeros(grid.n_cells), grid, 0.05, kappa=kappa)
             assert out is not theta_star
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kernel_leaves_its_inputs_and_the_grid_as_they_were(self, scheme):
+        # the kernel builds its system in place, but only in arrays it made
+        grid = build_grid(8.0, 64)
+        theta_star = np.exp(-grid.r**2)
+        a_frozen = 0.1 * np.cos(grid.r)
+        inputs = (theta_star, a_frozen, grid.r, grid.faces, grid.w, grid.face_area)
+        kept = [x.tobytes() for x in inputs]
+        out = _diffusion_solve_arrays(theta_star, a_frozen, grid, 0.05, 1.0, scheme)
+        assert [x.tobytes() for x in inputs] == kept
+        assert not any(np.shares_memory(out, x) for x in inputs)
 
     def test_rejects_bad_arguments(self):
         grid = build_grid(8.0, 64)
@@ -417,6 +436,39 @@ class TestRun:
         times = [0.0, every_step.records[50].t, summary.t_final]
         assert [r.t for r in sparse.records] == times
         assert sparse.records[-1].energy == every_step.records[-1].energy
+
+    @pytest.mark.parametrize(
+        "scheme, filter_coeff", [(CRANK_NICOLSON, 0.01), (BACKWARD_EULER, 0.0)]
+    )
+    def test_a_record_does_not_change_the_run(self, monkeypatch, scheme, filter_coeff):
+        # a record reads du/dr from the state and leaves da/dr there for the
+        # next step, so recording every step or every 7th must give the same
+        # steps: the same t and scalar columns at the shared times (the
+        # accumulators integrate over the record times, so they differ) and
+        # the same final fields
+        config = tiny_config(
+            eps=1e-2, diffusion_scheme=scheme, filter_coeff=filter_coeff
+        )
+        real_step, rows, finals = integrator.step, {}, {}
+
+        def spy(*args, **kwargs):
+            new, report = real_step(*args, **kwargs)
+            finals[every] = new
+            return new, report
+
+        monkeypatch.setattr(integrator, "step", spy)
+        for every in (1, 7):
+            sink = ListSink()
+            summary = run(dataclasses.replace(config, output_every=every), sink)
+            assert summary.termination_reason == "time-complete"
+            columns = (format_record(r).split(",") for r in sink.records)
+            rows[every] = [c[: 1 + len(SCALAR_FIELDS)] for c in columns]
+        dense = {row[0]: row for row in rows[1]}
+        assert len(rows[7]) > 3 and len(rows[1]) > len(rows[7])
+        for row in rows[7]:
+            assert row == dense[row[0]]
+        for name in ("a", "u", "theta"):
+            assert getattr(finals[1], name).tobytes() == getattr(finals[7], name).tobytes()
 
     def test_energy_accumulators_nondecreasing(self):
         sink = ListSink()

@@ -53,12 +53,13 @@ def laplacian_rows(grid):
 
     These are the rows of M in M theta = kappa * lap(theta) / (1 + a) at
     kappa = 1 and a = 0, taken from the Crank-Nicolson right-hand side,
-    which applies M to the input field.
+    which applies M to the input field.  The spy copies the rows, because
+    the solve goes on to scale them in place into I - weight * M.
     """
     rows = []
 
     def spy(lower, diag, upper, x):
-        rows.append((lower, diag, upper))
+        rows.append((lower.copy(), diag.copy(), upper.copy()))
         return tridiagonal_matvec(lower, diag, upper, x)
 
     zero = np.zeros(grid.n_cells)

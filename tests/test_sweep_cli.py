@@ -236,6 +236,12 @@ class TestCliMain:
             ),
             ("r_max = 12.0\nn_cells = 96", "r_max = 1e104\nn_cells = 16"),
             ("r_max = 12.0\nn_cells = 96", "r_max = 1e80\nn_cells = 16"),
+            # the innermost cell's volume w underflows to 0
+            (
+                "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
+                "kappa = 0.0\nr_max = 1e-120\nn_cells = 16\nt_end = 1e-121\n"
+                "init_family = zero",
+            ),
             # the first conduction half step cannot keep diagonal dominance
             (
                 "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
