@@ -115,17 +115,22 @@ class RunConfig:
                     f"exceeds r_max = {self.r_max}; enlarge r_max or shorten t_end"
                 )
             # The kernels divide by the cell volumes w (as build_grid forms
-            # them) and conduction by w * dr: the outer w * dr must not
-            # overflow, and the innermost w (its outer face is dr exactly) must
-            # be normal, >= 2**-1022.  A conduction half step needs weight *
+            # them) and conduction by (1 + a) w dr, a >= 0 in every family: the
+            # outer w * dr must not overflow, the innermost w (its outer face is
+            # dr exactly) must be normal, >= 2**-1022, and at kappa > 0 its
+            # kappa / (w dr) finite.  A conduction half step needs weight *
             # max(m_lower + m_upper) <= 2**48; on the first, row 0 alone gives
             # weight * 3 kappa / ((1 + eps) dr^2), weight = dt/2 (BE) or dt/4 (CN).
             r, dr = self.r_max, self.r_max / self.n_cells
             f = (self.n_cells - 1) * dr  # the outer cell's inner face
             if not math.isfinite(4.0 * math.pi / 3.0 * (r * r * r - f * f * f) * dr):
                 problems.append(f"w * dr of the outer cell overflows at r_max = {r}")
-            if not 4.0 * math.pi / 3.0 * (dr * dr * dr) >= 2.0**-1022:
+            w = 4.0 * math.pi / 3.0 * (dr * dr * dr)  # the innermost cell's
+            if not w >= 2.0**-1022:
                 problems.append(f"w of the innermost cell underflows at r_max = {r}")
+            kappa, w_dr = self.kappa, w * dr
+            if kappa > 0.0 and not (w_dr > 0.0 and math.isfinite(kappa / w_dr)):
+                problems.append("kappa / (w * dr) of the innermost cell overflows")
             dt = min(self.cfl * dr / self.signal_speed_bound(), self.t_end)
             weight = dt / (2.0 if self.diffusion_scheme == BACKWARD_EULER else 4.0)
             if weight * 3.0 * self.kappa > 2.0**48 * (1.0 + self.eps) * dr * dr:

@@ -206,7 +206,7 @@ class DiagnosticsCollector:
         grid, w, k = self.grid, self.grid.w, self.max_k
         dot = w.dot
         memo_dr, du, _, shock = state._derivs
-        if memo_dr != grid.dr or du.shape[0] != grid.n_cells:
+        if memo_dr != grid.dr:
             du = derivative_array(state.u, ODD, grid.dr)
             shock = float(np.maximum.reduce(np.abs(du)))
         a_chain = _derivative_chain(state.a, EVEN, grid, k)

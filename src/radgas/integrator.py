@@ -20,11 +20,10 @@ their check, so neither the next step nor the diagnostics check it again.
 
 Finite-propagation window: without conduction the system is symmetric
 hyperbolic, and the explicit update moves data a few cells per step.  A
-kappa = 0 step therefore runs on the first s + _REACH cells (n if that cuts
-off no more than _SLACK), s being the input's support (derivation at _REACH),
-and copies the zero tail, with the full mesh's bytes; a kappa = 0 run keeps
-its state and grid cut until the cut nears the guard band.  With kappa > 0
-the implicit solve fills every cell.
+step computes every cell of the grid it is given, and run() alone owns the
+window: at kappa = 0 it keeps the state and grid cut to s + _REACH + _SLACK
+cells, s being the support (derivation at _REACH), recuts when data reaches
+the last _REACH cells, and pads for records; with kappa > 0 it never cuts.
 
 Both ends of the domain are closed: zero flux at the origin by parity and
 an insulated rigid wall at r_max.  Mass is then conserved to rounding no
@@ -270,9 +269,11 @@ def step(
     scheme: str = BACKWARD_EULER,
     filter_coeff: float = 0.0,
 ) -> tuple[State, StepReport]:
-    """Advance one Strang-split step; on a positivity breach the offending
-    state is returned together with a failing validity report instead of
-    raising."""
+    """Advance one Strang-split step on every cell of ``grid``; on a
+    positivity breach the offending state is returned together with a
+    failing validity report instead of raising.  At kappa = 0 the first m
+    >= _support(state) + _REACH cells of the state and grid (a prefix
+    window) give the first m cells of the full-mesh step and its report."""
     _check_step_args(dt, scheme)
     if not 0.0 <= filter_coeff <= MAX_FILTER_COEFF:
         raise ValueError(
@@ -285,25 +286,20 @@ def step(
         raise StateValidityError("step requires a valid input state")
 
     kappa = state.params.kappa
-    m = n  # kappa = 0: s + _REACH, unless the last _REACH + _SLACK + 1 cells hold data
-    if kappa == 0.0 and _zero_tail(state, _REACH + _SLACK + 1):
-        m = _support(state) + _REACH
-        grid = _crop_grid(grid, m)
-    a, u, theta = state.a[:m], state.u[:m], state.theta[:m]
-    # du/dr and da/dr of the input, if it has them on this mesh: the first
-    # conduction half step changes neither u nor a
+    a, u, theta = state.a, state.u, state.theta
+    # du/dr and da/dr of the input, if it has them at this cell width: the
+    # first conduction half step changes neither u nor a
     memo_dr, du, da, _ = state._derivs
-    if m != n or memo_dr != grid.dr:
+    if memo_dr != grid.dr:
         du = da = None
 
     def finish(a_new, u_new, theta_new, report):
-        # the window's last cells stay 0 (_REACH): its check is the mesh's
         du_dr = derivative_array(u_new, ODD, grid.dr)
         t, params = state.t + dt, state.params
         max_du = float(np.maximum.reduce(np.abs(du_dr)))
         derivs = (grid.dr, du_dr, None, max_du)
         new = State._adopt(a_new, u_new, theta_new, t, params, report, derivs)
-        return _resize(new, n), StepReport(validity=report, max_abs_du_dr=max_du)
+        return new, StepReport(validity=report, max_abs_du_dr=max_du)
 
     # First conduction half step (density coefficient frozen at entry).
     th0 = theta

@@ -8,7 +8,7 @@ extend evenly across the origin while u extends oddly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +74,9 @@ class State:
     theta: np.ndarray
     t: float
     params: PhysParams
-    _validity: ValidityReport | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Not a field: (dr, du/dr, da/dr, max |du/dr|) at cell width dr, None
-    # where not taken.  The step sets all but da/dr, a diagnostics record all.
+    # Memos set through vars(), not fields: the validity report, and (dr, du/dr,
+    # da/dr, max |du/dr|) at width dr; the step sets all but da/dr, a record all.
+    _validity = None
     _derivs = (None, None, None, None)
 
     def __post_init__(self) -> None:

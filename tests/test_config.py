@@ -189,6 +189,8 @@ class TestValidate:
         # the innermost cell volume is about 1e-303, still a normal double
         tiny = dict(kappa=0.0, init_family="zero", n_cells=16)
         self.base(r_max=1e-100, t_end=1e-101, **tiny).validate()
+        # with conduction: the innermost kappa / (w * dr) is about 1e238
+        self.base(r_max=1e-60, t_end=1e-140, **{**tiny, "kappa": 1.0}).validate()
 
     @pytest.mark.parametrize(
         "overrides, fragment",
@@ -216,6 +218,18 @@ class TestValidate:
                 {"r_max": 1e-120, "n_cells": 16, "t_end": 1e-121, "kappa": 0.0,
                  "init_family": "zero"},
                 "innermost cell underflows",
+            ),
+            # validated, then the first conduction half step raised: the
+            # innermost w * dr underflows to 0, or kappa / (w * dr) overflows
+            (
+                {"r_max": 1e-100, "n_cells": 16, "t_end": 1e-250,
+                 "init_family": "zero"},
+                r"kappa / \(w \* dr\) of the innermost cell overflows",
+            ),
+            (
+                {"r_max": 2.08e-76, "n_cells": 16, "t_end": 1e-250, "kappa": 1000.0,
+                 "init_family": "zero"},
+                r"kappa / \(w \* dr\) of the innermost cell overflows",
             ),
             # validated, then failed the first conduction half step
             (

@@ -242,6 +242,17 @@ class TestCliMain:
                 "kappa = 0.0\nr_max = 1e-120\nn_cells = 16\nt_end = 1e-121\n"
                 "init_family = zero",
             ),
+            # conduction's innermost kappa / (w * dr) overflows: w * dr is 0,
+            # or normal (about 1.2e-307) with kappa = 1000
+            (
+                "r_max = 12.0\nn_cells = 96\nt_end = 0.4",
+                "r_max = 1e-100\nn_cells = 16\nt_end = 1e-250\ninit_family = zero",
+            ),
+            (
+                "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
+                "kappa = 1000.0\nr_max = 2.08e-76\nn_cells = 16\nt_end = 1e-250\n"
+                "init_family = zero",
+            ),
             # the first conduction half step cannot keep diagonal dominance
             (
                 "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
@@ -284,6 +295,18 @@ class TestCliMain:
         assert payload["run_id"] == "sweep-base"
         # no breach, so no state dump
         assert not (out_dir / "state_dump.npz").exists()
+
+    def test_tiny_conduction_mesh_runs(self, tmp_path, capsys):
+        # the smallest kappa = 1 mesh of the config tests still runs: its
+        # innermost w * dr is about 1e-241
+        text = BASE_TEXT.replace(
+            "r_max = 12.0\nn_cells = 96\nt_end = 0.4",
+            "r_max = 1e-60\nn_cells = 16\nt_end = 1e-140\ninit_family = zero",
+        )
+        path, out_dir = self.write(tmp_path, text), tmp_path / "out"
+        assert main(["validate-config", path]) == 0
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+        assert "time-complete" in capsys.readouterr().out
 
     def test_run_verb_deterministic_csv(self, tmp_path):
         config = self.write(tmp_path, BASE_TEXT)

@@ -1,11 +1,12 @@
-"""The finite-propagation window of a conduction-free step.
+"""The finite-propagation window of a conduction-free run.
 
-With kappa = 0 a step computes only the first s + 6 cells (all n cells when
-that would leave out at most 16), s being one past the last cell of its
-input that is not +0.0.  It must give the
-bytes of the full-mesh composition in ``tests/test_step_reference.py``,
-breach path included, and the window must be exactly that wide: no
-narrower at kappa = 0 (wrong bytes) and not used at kappa > 0.
+A step computes every cell of the grid it is given; run() alone cuts a
+kappa = 0 run to a prefix window and pads it back for records.  Stepped on
+the first s + _REACH cells, s being one past the last cell of its input that
+is not +0.0, a step must give the bytes of the full-mesh composition in
+``tests/test_step_reference.py``, breach path included.  The window must be
+exactly that wide: one cell narrower gives other bytes.  run() keeps the
+kernels on the window at kappa = 0 and on the full mesh at kappa > 0.
 """
 
 import numpy as np
@@ -17,18 +18,22 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from radgas import integrator  # noqa: E402
-from radgas.config import DIFFUSION_SCHEMES, MAX_FILTER_COEFF  # noqa: E402
+from radgas.config import (  # noqa: E402
+    BACKWARD_EULER,
+    DIFFUSION_SCHEMES,
+    MAX_FILTER_COEFF,
+    RunConfig,
+)
+from radgas.diagnostics import ListSink  # noqa: E402
 from radgas.dynamics import cfl_dt  # noqa: E402
 from radgas.grid import MIN_CELLS, build_grid  # noqa: E402
 from radgas.state import PhysParams, State  # noqa: E402
 from test_step_reference import (  # noqa: E402
     field_bytes,
+    reference_run,
     reference_step,
     report_bytes,
 )
-
-#: Cells a conduction-free step reaches beyond the support of its input.
-REACH = 6
 
 
 @st.composite
@@ -41,7 +46,8 @@ def supported_states(draw):
     """
     n = draw(st.integers(MIN_CELLS, 80))
     grid = build_grid(draw(st.floats(1.0, 50.0)), n)
-    s = draw(st.one_of(st.integers(0, n), st.integers(max(0, n - REACH - 2), n)))
+    near_end = st.integers(max(0, n - integrator._REACH - 2), n)
+    s = draw(st.one_of(st.integers(0, n), near_end))
     amp = draw(st.sampled_from([1e-3, 0.05, 0.4]))
     values = st.one_of(
         st.floats(-amp, amp),
@@ -67,11 +73,18 @@ def supported_states(draw):
     st.integers(1, 4),
 )
 def test_window_steps_equal_full_mesh(grid_state, scheme, coeff, cfl, steps):
+    # each step runs on the narrowest window run() steps on
     grid, state = grid_state
+    n = grid.n_cells
     ref = state
     for _ in range(steps):
         dt = cfl_dt(state, grid, cfl)
-        state, report = integrator.step(state, grid, dt, scheme, coeff)
+        m = min(n, integrator._support(state) + integrator._REACH)
+        window = integrator._resize(state, m)
+        new, report = integrator.step(
+            window, integrator._crop_grid(grid, m), dt, scheme, coeff
+        )
+        state = integrator._resize(new, n)
         ref, ref_report = reference_step(ref, grid, dt, scheme, coeff)
         assert field_bytes(state) == field_bytes(ref)
         assert report_bytes(report) == report_bytes(ref_report)
@@ -85,20 +98,27 @@ def compact_state(n, s, kappa):
     return State(a=bump, u=bump, theta=bump, t=0.0, params=PhysParams(kappa=kappa))
 
 
-@pytest.mark.parametrize(
-    "kappa, s, expected",
-    [
-        (0.0, 50, 50 + REACH),
-        (0.0, 0, REACH),
-        (0.0, 195, 200),
-        (0.0, 177, 177 + REACH),  # cuts off 17 cells
-        (0.0, 178, 200),  # would cut off 16 cells: not worth a cut
-        (1.0, 50, 200),
-    ],
-)
-def test_kernels_see_the_window(monkeypatch, kappa, s, expected):
-    # kappa = 0: the kernels run on min(n, s + REACH) cells; kappa > 0: the
-    # implicit half-solve reaches every cell, so they run on the full mesh
+def windowed_step_bytes(state, grid, m):
+    new, _ = integrator.step(
+        integrator._resize(state, m),
+        integrator._crop_grid(grid, m),
+        0.01,
+        filter_coeff=0.01,
+    )
+    return field_bytes(integrator._resize(new, grid.n_cells))
+
+
+def test_window_is_tight():
+    # support 50: 56 cells give the full mesh's bytes, 55 do not
+    grid = build_grid(20.0, 200)
+    state = compact_state(200, 50, 0.0)
+    ref, _ = reference_step(state, grid, 0.01, BACKWARD_EULER, 0.01)
+    assert windowed_step_bytes(state, grid, 50 + integrator._REACH) == field_bytes(ref)
+    assert windowed_step_bytes(state, grid, 55) != field_bytes(ref)
+
+
+def spy_kernels(monkeypatch):
+    """Cell counts that convective_rhs and the filter are called on."""
     lengths = []
 
     def spy(kernel):
@@ -114,10 +134,54 @@ def test_kernels_see_the_window(monkeypatch, kappa, s, expected):
         "_fourth_difference_filter",
         spy(integrator._fourth_difference_filter),
     )
+    return lengths
+
+
+def window_config(kappa):
+    return RunConfig(
+        eps=1e-3, kappa=kappa, r_max=24.0, n_cells=240, t_end=0.5,
+        init_family="compact-bump", output_every=5, filter_coeff=0.01,
+    )
+
+
+@pytest.mark.parametrize("slack", range(5))
+def test_run_bytes_do_not_depend_on_the_slack(monkeypatch, slack):
+    # _SLACK only sets how often run() recuts.  A filtered step widens the
+    # support by four cells, so with 3 spare cells the first step's result
+    # ends in five +0.0 cells: one short of _REACH, and run() must recut
+    monkeypatch.setattr(integrator, "_SLACK", slack)
+    config = window_config(0.0)
+    sink = ListSink()
+    summary = integrator.run(config, sink)
+    records, steps, reason, _, t_final, _ = reference_run(config)
+    assert (summary.termination_reason, summary.steps) == (reason, steps)
+    assert summary.t_final == t_final
+    assert sink.records == records
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_run_keeps_the_kernels_on_the_window(monkeypatch, kappa):
+    # kappa = 0: the support stays far from the wall, so every step between
+    # the records runs on a prefix window; kappa > 0: the implicit
+    # half-solve reaches every cell, so the kernels see the full mesh
+    lengths = spy_kernels(monkeypatch)
+    config = window_config(kappa)
+    summary = integrator.run(config)
+    assert summary.termination_reason == "time-complete"
+    assert len(lengths) == 3 * summary.steps > 0
+    if kappa == 0.0:
+        assert max(lengths) < config.n_cells
+    else:
+        assert set(lengths) == {config.n_cells}
+
+
+def test_step_computes_every_cell_it_is_given(monkeypatch):
+    # a direct kappa = 0 step on a full mesh with a long zero tail cuts
+    # nothing: the window is run()'s to choose
+    lengths = spy_kernels(monkeypatch)
     grid = build_grid(20.0, 200)
-    state = compact_state(200, s, kappa)
+    state = compact_state(200, 50, 0.0)
     new, report = integrator.step(state, grid, 0.01, filter_coeff=0.01)
     assert report.validity.ok
-    assert lengths == [expected] * 3
+    assert lengths == [200] * 3
     assert new.a.shape == (200,)
-
