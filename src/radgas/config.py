@@ -119,8 +119,8 @@ class RunConfig:
             # outer w * dr must not overflow, the innermost w (its outer face is
             # dr exactly) must be normal, >= 2**-1022, and at kappa > 0 its
             # kappa / (w dr) finite.  A conduction half step needs weight *
-            # max(m_lower + m_upper) <= 2**48; on the first, row 0 alone gives
-            # weight * 3 kappa / ((1 + eps) dr^2), weight = dt/2 (BE) or dt/4 (CN).
+            # max(m_lower + m_upper) <= 2**48; on the first, row 0 has at most
+            # weight * 3 kappa / dr^2, as theta >= 0 puts dt <= cfl dr / sqrt(2).
             r, dr = self.r_max, self.r_max / self.n_cells
             f = (self.n_cells - 1) * dr  # the outer cell's inner face
             if not math.isfinite(4.0 * math.pi / 3.0 * (r * r * r - f * f * f) * dr):
@@ -131,12 +131,12 @@ class RunConfig:
             kappa, w_dr = self.kappa, w * dr
             if kappa > 0.0 and not (w_dr > 0.0 and math.isfinite(kappa / w_dr)):
                 problems.append("kappa / (w * dr) of the innermost cell overflows")
-            dt = min(self.cfl * dr / self.signal_speed_bound(), self.t_end)
+            dt = min(self.cfl * dr / math.sqrt(2.0), self.t_end)
             weight = dt / (2.0 if self.diffusion_scheme == BACKWARD_EULER else 4.0)
-            if weight * 3.0 * self.kappa > 2.0**48 * (1.0 + self.eps) * dr * dr:
+            if weight * 3.0 * self.kappa > 2.0**48 * dr * dr:
                 problems.append(
-                    f"kappa = {self.kappa} makes the first conduction step lose "
-                    "diagonal dominance: weight * 3 kappa / ((1 + eps) dr^2) > 2**48"
+                    f"kappa = {self.kappa} lets the first conduction step lose "
+                    "diagonal dominance: weight * 3 kappa / dr^2 > 2**48"
                 )
         if problems:
             raise ConfigError("; ".join(problems))

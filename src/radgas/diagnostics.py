@@ -178,10 +178,9 @@ class DiagnosticsCollector:
     States must arrive in nondecreasing time order; all accumulators are
     nondecreasing in time.
 
-    A record reads du/dr and its max from the state's derivative memo when
-    the step left them there at this cell width, and leaves da/dr there for
-    the next step's first stage: the same kernel on the same array and cell
-    width gives the same bits, so a record does not change a run.
+    A record reads the state and writes nothing into it: it takes du/dr,
+    da/dr and max |du/dr| from the memo the step left at this cell width,
+    and derives them itself otherwise (a constructor-built or padded state).
     """
 
     def __init__(self, grid: RadialGrid, max_k: int) -> None:
@@ -200,19 +199,19 @@ class DiagnosticsCollector:
     def update(self, state: State) -> DiagnosticsRecord:
         """One record in one pass: the state is checked once, and a to order
         K, u to max(K, 1) and theta to K+1 are each derived and normed once
-        (du/dr not at all if the state carries it)."""
+        (du/dr and da/dr not at all if the state carries them)."""
         if not validate(state).ok:
             raise StateValidityError("diagnostics require a valid state")
         grid, w, k = self.grid, self.grid.w, self.max_k
         dot = w.dot
-        memo_dr, du, _, shock = state._derivs
+        memo_dr, du, da, shock = state._derivs
         if memo_dr != grid.dr:
             du = derivative_array(state.u, ODD, grid.dr)
+            da = derivative_array(state.a, EVEN, grid.dr) if k else None
             shock = float(np.maximum.reduce(np.abs(du)))
-        a_chain = _derivative_chain(state.a, EVEN, grid, k)
+        a_chain = [state.a, *_derivative_chain(da, ODD, grid, k - 1)][: k + 1]
         u_chain = [state.u, *_derivative_chain(du, EVEN, grid, max(k, 1) - 1)]
         th_chain = _derivative_chain(state.theta, EVEN, grid, k + 1)
-        vars(state)["_derivs"] = (grid.dr, du, a_chain[1] if k else None, shock)
         # u**2 and theta'**2 serve the scalars too; every other square is
         # freed after its dot, which keeps the record's live arrays few
         u2, dtheta2 = state.u**2, th_chain[1] ** 2

@@ -297,7 +297,7 @@ def step(
         du_dr = derivative_array(u_new, ODD, grid.dr)
         t, params = state.t + dt, state.params
         max_du = float(np.maximum.reduce(np.abs(du_dr)))
-        derivs = (grid.dr, du_dr, None, max_du)
+        derivs = (grid.dr, du_dr, derivative_array(a_new, EVEN, grid.dr), max_du)
         new = State._adopt(a_new, u_new, theta_new, t, params, report, derivs)
         return new, StepReport(validity=report, max_abs_du_dr=max_du)
 

@@ -75,7 +75,7 @@ class State:
     t: float
     params: PhysParams
     # Memos set through vars(), not fields: the validity report, and (dr, du/dr,
-    # da/dr, max |du/dr|) at width dr; the step sets all but da/dr, a record all.
+    # da/dr, max |du/dr|) at width dr, which only the step sets; records read it.
     _validity = None
     _derivs = (None, None, None, None)
 

@@ -236,6 +236,13 @@ class TestValidate:
                 {"r_max": 12.0, "n_cells": 120, "t_end": 0.01, "kappa": 1e16},
                 "diagonal dominance",
             ),
+            # validated too, while the bound took dt from the largest speed
+            # and 1 + a at its largest, then failed that step (exit 1)
+            (
+                {"eps": 0.5, "kappa": 2.26e15, "r_max": 16.0, "n_cells": 16,
+                 "t_end": 1.0, "init_family": "zero"},
+                "diagonal dominance",
+            ),
         ],
     )
     def test_rejects_non_finite_or_unstable(self, overrides, fragment):
@@ -325,9 +332,10 @@ class TestValidate:
     def test_conduction_dominance_bound_rejects_only_failing_configs(
         self, monkeypatch, scheme
     ):
-        # the bound weight * 3 kappa / ((1 + eps) dr^2) <= 2**48 of row 0 in
-        # the first half step: just past it the run fails that step's own
-        # precondition, just inside it the step runs
+        # the first half step's row 0 has weight * 3 kappa / ((1 + a) dr^2),
+        # and the rule bounds it by weight * 3 kappa / dr^2 <= 2**48: just past
+        # the row's own limit the run fails that step's precondition, just
+        # inside the rule's the step runs
         config = self.base(r_max=12.0, n_cells=120, t_end=0.01, diffusion_scheme=scheme)
         dr, weight = 0.1, 0.01 / (2.0 if scheme == BACKWARD_EULER else 4.0)
         kappa_max = 2.0**48 * (1.0 + config.eps) * dr * dr / (3.0 * weight)
@@ -339,6 +347,30 @@ class TestValidate:
             outside.validate()
         monkeypatch.setattr(RunConfig, "validate", lambda self: None)
         assert run(inside).steps == 1
+        with pytest.raises(ValueError, match="diagonal dominance"):
+            run(outside)
+
+    @pytest.mark.parametrize("scheme", [BACKWARD_EULER, CRANK_NICOLSON])
+    def test_conduction_dominance_bound_is_tight_on_zero_data(
+        self, monkeypatch, scheme
+    ):
+        # zero data has a = 0 and the CFL speed sqrt(2) exactly, so a
+        # CFL-limited first step meets the bound: inside it runs, outside
+        # it is rejected and, run anyway, fails that step
+        config = self.base(
+            eps=0.5, r_max=16.0, n_cells=16, t_end=1.0, init_family="zero",
+            diffusion_scheme=scheme,
+        )
+        dt = config.cfl / math.sqrt(2.0)  # dr = 1
+        weight = dt / (2.0 if scheme == BACKWARD_EULER else 4.0)
+        kappa_max = 2.0**48 / (3.0 * weight)
+        inside = dataclasses.replace(config, kappa=0.999 * kappa_max)
+        outside = dataclasses.replace(config, kappa=1.001 * kappa_max)
+        inside.validate()
+        with pytest.raises(ConfigError, match="diagonal dominance"):
+            outside.validate()
+        assert run(inside).termination_reason == "time-complete"
+        monkeypatch.setattr(RunConfig, "validate", lambda self: None)
         with pytest.raises(ValueError, match="diagonal dominance"):
             run(outside)
 

@@ -227,9 +227,23 @@ def test_one_record_takes_each_derivative_and_check_once(monkeypatch, k):
         derivatives.calls = checks.calls = 0
         collector.update(state)
         # a to order K, u to order max(K, 1), theta to order K + 1; a state
-        # from step carries du/dr, one from the constructor carries nothing
-        assert derivatives.calls == (3 * k + 1 if k >= 1 else 2) - memo
+        # from step carries du/dr and da/dr (read at K >= 1), one from the
+        # constructor carries nothing
+        saved = memo * (2 if k >= 1 else 1)
+        assert derivatives.calls == (3 * k + 1 if k >= 1 else 2) - saved
         assert checks.calls <= 1
+
+
+@pytest.mark.parametrize("k", ORDERS)
+def test_a_record_leaves_the_derivative_memo_as_it_found_it(k):
+    # the step is the memo's one writer: a record reads it or derives its
+    # own, and the state it records keeps the very same memo
+    grid, (built, stepped) = cn_filter_states(n_steps=1)
+    collector = DiagnosticsCollector(grid, k)
+    for state in (built, stepped):
+        memo = state._derivs
+        collector.update(state)
+        assert state._derivs is memo
 
 
 # ---------------------------------------------------------------------------

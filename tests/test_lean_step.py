@@ -4,10 +4,11 @@
 write in place; the ``reference_*`` copies below are their earlier bodies.
 Every output has to match bit for bit, NaN and signed zeros included.  The
 last tests pin what a step and a run no longer repeat: a step reads the
-du/dr that the previous step left on its State, and a conduction-free run
-keeps its CFL step on the window between records.  The final one pins the
-one place where a step's bytes may differ from the reference composition:
-the sign of a NaN born where a tendency overflows.
+du/dr and da/dr that the previous step left on its State, a record reads
+them too, and a conduction-free run keeps its CFL step on the window
+between records.  The final one pins the one place where a step's bytes
+may differ from the reference composition: the sign of a NaN born where a
+tendency overflows.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from radgas import dynamics, integrator  # noqa: E402
+from radgas import diagnostics, dynamics, integrator  # noqa: E402
 from radgas.config import CRANK_NICOLSON, RunConfig  # noqa: E402
+from radgas.diagnostics import DiagnosticsSink  # noqa: E402
 from radgas.dynamics import flux_divergence  # noqa: E402
 from radgas.grid import MIN_CELLS, build_grid  # noqa: E402
 from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
@@ -130,8 +132,8 @@ def test_flux_divergence_gives_the_reference_bytes(n_m, r_max):
 
 
 def test_a_step_reuses_the_du_dr_of_the_previous_step(monkeypatch):
-    # stage 1 reads u unchanged by conduction, so after the first step a
-    # kappa > 0 step takes 6 derivatives: 2 + 3 in the stages, 1 at the end
+    # stage 1 reads u and a unchanged by conduction, so after the first step
+    # a kappa > 0 step takes 6 derivatives: 1 + 3 in the stages, 2 at the end
     calls = []
 
     def counted(values, parity, dr):
@@ -148,7 +150,39 @@ def test_a_step_reuses_the_du_dr_of_the_previous_step(monkeypatch):
         state, report = integrator.step(state, grid, 0.01, CRANK_NICOLSON, 0.01)
         assert report.validity.ok
         counts.append(len(calls))
-    assert counts == [7, 6, 6]
+    assert counts == [8, 6, 6]
+
+
+def test_a_step_and_its_record_take_eleven_derivatives(monkeypatch):
+    # at K = 2 the record reads du/dr and da/dr from the step's memo and
+    # takes a'', u'' and theta' .. theta''': 6 + 5 per step after the first
+    calls = []
+
+    def counted(values, parity, dr):
+        calls.append(values.shape[0])
+        return derivative_array(values, parity, dr)
+
+    for module in (integrator, dynamics, diagnostics):
+        monkeypatch.setattr(module, "derivative_array", counted)
+
+    class CountingSink(DiagnosticsSink):
+        def __init__(self):
+            self.totals = []
+
+        def on_record(self, record):
+            self.totals.append(len(calls))
+
+    config = RunConfig(
+        eps=1e-3, kappa=1.0, r_max=12.0, n_cells=120, t_end=0.2, output_every=1,
+        diffusion_scheme=CRANK_NICOLSON, filter_coeff=0.01, diag_max_k=2,
+    )
+    sink = CountingSink()
+    summary = integrator.run(config, sink)
+    assert summary.steps > 5
+    # the initial record derives all 3K + 1; the first step takes 8
+    assert sink.totals[0] == 7
+    per_step = np.diff(sink.totals).tolist()
+    assert per_step == [13] + [11] * (summary.steps - 1)
 
 
 def test_conduction_free_run_keeps_its_cfl_step_on_the_window(monkeypatch):

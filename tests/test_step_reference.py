@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from radgas import integrator
 from radgas.config import BACKWARD_EULER, CRANK_NICOLSON, RunConfig
 from radgas.diagnostics import SCALAR_FIELDS, DiagnosticsCollector, ListSink
 from radgas.dynamics import cfl_dt, convective_rhs, flux_divergence
@@ -211,6 +212,44 @@ def test_breach_bitwise_equal_to_reference():
     )
     assert breached
     assert steps > 50
+
+
+def first_half_breach():
+    # Crank-Nicolson barely damps a hot cell's grid-scale mode, so with a
+    # long first half step the cell overshoots to 1 + theta = -0.60
+    grid = build_grid(10.0, 100)
+    theta, zero = np.zeros(100), np.zeros(100)
+    theta[50] = 2.0
+    state = State(a=zero, u=zero, theta=theta, t=0.0, params=PhysParams(kappa=1.0))
+    return state, grid, 1.0, CRANK_NICOLSON
+
+
+def stage2_breach():
+    # rough data whose stage 1 stays valid and whose stage 2 does not
+    grid = build_grid(4.0, 40)
+    a, u, theta = 0.9 * np.random.default_rng(86).uniform(-1.0, 1.0, (3, 40))
+    state = State(a=a, u=u, theta=theta, t=0.0, params=PhysParams(kappa=0.0))
+    return state, grid, 0.2 * grid.dr, BACKWARD_EULER
+
+
+@pytest.mark.parametrize("case, stages", [(first_half_breach, 0), (stage2_breach, 2)])
+def test_early_breach_exit_bitwise_equal_to_reference(case, stages, monkeypatch):
+    # step() leaves after the first conduction half step or after either
+    # convective stage; which one fired is told by the convective_rhs calls
+    calls = []
+    kernel = integrator.convective_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(integrator, "convective_rhs", counted)
+    state, grid, dt, scheme = case()
+    new, report = step(state, grid, dt, scheme)
+    ref, ref_report = reference_step(state, grid, dt, scheme, 0.0)
+    assert not report.validity.ok and len(calls) == stages
+    assert field_bytes(new) == field_bytes(ref)
+    assert report_bytes(report) == report_bytes(ref_report)
 
 
 def test_convective_rhs_bitwise_equal_to_reference():

@@ -258,6 +258,12 @@ class TestCliMain:
                 "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
                 "kappa = 1e16\nr_max = 12.0\nn_cells = 120\nt_end = 0.01",
             ),
+            # zero data, whose first dt is the largest: it used to validate
+            (
+                "eps = 1e-3\nkappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
+                "eps = 0.5\nkappa = 2.26e15\nr_max = 16.0\nn_cells = 16\n"
+                "t_end = 1.0\ninit_family = zero",
+            ),
         ],
     )
     def test_non_finite_or_unstable_value_is_config_error(
