@@ -131,6 +131,12 @@ class RunConfig:
             kappa, w_dr = self.kappa, w * dr
             if kappa > 0.0 and not (w_dr > 0.0 and math.isfinite(kappa / w_dr)):
                 problems.append("kappa / (w * dr) of the innermost cell overflows")
+            # t + dt > t with a wide margin, and at most 2**40 such first steps
+            first = self.cfl * dr / self.signal_speed_bound()
+            if not first > 2.0**-40 * self.t_end:
+                steps = self.t_end / first if first > 0.0 else math.inf
+                problems.append(f"t_end / (cfl * dr / signal speed bound) = {steps:.3g}"
+                                " steps, more than 2**40")
             dt = min(self.cfl * dr / math.sqrt(2.0), self.t_end)
             weight = dt / (2.0 if self.diffusion_scheme == BACKWARD_EULER else 4.0)
             if weight * 3.0 * self.kappa > 2.0**48 * dr * dr:

@@ -43,51 +43,66 @@ class SymSystem:
     f: np.ndarray
 
 
-def flux_divergence(m: np.ndarray, grid: RadialGrid) -> np.ndarray:
+def flux_divergence(m: np.ndarray, grid: RadialGrid, out=None) -> np.ndarray:
     """Conservative radial divergence (1/r^2) d/dr (r^2 m) of a flux profile.
 
     Face values are arithmetic averages of the neighboring cells.  Both
     boundary faces carry zero flux: the origin face because r^2 vanishes
     there, the outer face as a rigid wall.  The w-weighted sum of the output
     is therefore exactly zero for any input, which is the property the mass
-    update relies on.
+    update relies on.  ``out`` is a pair of buffers for the result and the
+    n + 1 face fluxes; by default they are new arrays.
     """
     m = np.asarray(m, dtype=float)
-    flux = np.empty(m.shape[0] + 1)
+    out, flux = out or (np.empty(m.shape[0]), np.empty(m.shape[0] + 1))
     inner = flux[1:-1]
     np.add(m[:-1], m[1:], out=inner)
     inner *= 0.5
     inner *= grid.face_area[1:-1]
     flux[0] = flux[-1] = 0.0
-    out = flux[1:] - flux[:-1]
+    np.subtract(flux[1:], flux[:-1], out=out)
     out /= grid.w
     return out
 
 
 def convective_rhs_arrays(
-    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid, du=None, da=None
+    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid,
+    du=None, da=None, out=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array kernel of :func:`convective_rhs`, un-negated: (-da_dt, -du_dt,
     -dtheta_dt).  ``du`` and ``da`` are du/dr of u and da/dr of a if the
-    caller has them.
+    caller has them.  ``out`` holds six buffers, apart from the inputs: the
+    results, then scratch for 1 + a, 1 + theta and the n + 1 face fluxes;
+    by default they are new arrays.
 
     It does not check the state; the caller vouches that 1 + a > 0.
     """
-    dr = grid.dr
-    rho = 1.0 + a
-    temp = 1.0 + theta
+    dr, n = grid.dr, a.shape[0]
+    if out is None:
+        out = [np.empty(n) for _ in range(5)] + [np.empty(n + 1)]
+    a_sum, u_sum, theta_sum, rho, temp, flux = out
+    np.add(1.0, a, out=rho)
+    np.add(1.0, theta, out=temp)
     if du is None:
         du = derivative_array(u, ODD, dr)
     dtheta = derivative_array(theta, EVEN, dr)
     if da is None:
         da = derivative_array(a, EVEN, dr)
-    u_sum = u * du + dtheta + temp / rho * da
-    # u dtheta + temp (du + 2 u / r) in place, operands in order for NaN bits
-    div_u = 2.0 * u / grid.r
-    temp *= np.add(du, div_u, out=div_u)
-    theta_sum = u * dtheta
+    # u du + dtheta + temp / rho * da, then u dtheta + temp (du + 2 u / r), in
+    # place with the operands in order for NaN bits; theta_sum is the scratch
+    np.multiply(u, du, out=u_sum)
+    u_sum += dtheta
+    np.divide(temp, rho, out=theta_sum)
+    theta_sum *= da
+    u_sum += theta_sum
+    np.multiply(2.0, u, out=theta_sum)
+    theta_sum /= grid.r
+    np.add(du, theta_sum, out=theta_sum)
+    temp *= theta_sum
+    np.multiply(u, dtheta, out=theta_sum)
     theta_sum += temp
-    return flux_divergence(rho * u, grid), u_sum, theta_sum
+    a_sum = flux_divergence(np.multiply(rho, u, out=rho), grid, (a_sum, flux))
+    return a_sum, u_sum, theta_sum
 
 
 def convective_rhs(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,8 @@ class RadialGrid:
     faces: np.ndarray
     w: np.ndarray
     face_area: np.ndarray
+    #: Idle step scratch for this grid; a step takes one out while it runs.
+    scratch: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def build_grid(r_max: float, n_cells: int) -> RadialGrid:

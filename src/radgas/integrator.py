@@ -67,7 +67,7 @@ from .diagnostics import (
 from .dynamics import cfl_dt_arrays as cfl_dt
 from .dynamics import convective_rhs_arrays as convective_rhs
 from .grid import RadialGrid, build_grid
-from .operators import EVEN, ODD, derivative_array
+from .operators import EVEN, ODD, aligned, derivative_array
 from .state import (
     PhysParams,
     State,
@@ -100,12 +100,8 @@ def _check_step_args(dt: float, scheme: str) -> None:
 
 
 def _diffusion_solve_arrays(
-    theta_star: np.ndarray,
-    a_frozen: np.ndarray,
-    grid: RadialGrid,
-    dt: float,
-    kappa: float,
-    scheme: str,
+    theta_star: np.ndarray, a_frozen: np.ndarray, grid: RadialGrid, dt: float,
+    kappa: float, scheme: str, out=None,
 ) -> np.ndarray:
     """Implicit conduction update; returns theta_new.
 
@@ -117,25 +113,28 @@ def _diffusion_solve_arrays(
     |upper|) row by row, so it is strictly diagonally dominant whenever
     1 + a > 0 and ``scheme`` is one of DIFFUSION_SCHEMES, which the caller
     guarantees.  Raises ValueError where rounding could lose dominance.
+    ``out`` holds four buffers for the result (apart from theta_star) and
+    the diagonals, which dgtsv overwrites; by default they are new.
     """
-    # Built in place, in arrays allocated here only; each operation keeps its
-    # operands, or swaps a product's two factors, so the bits stay the same.
-    c = np.add(1.0, a_frozen)
+    # Built in place; each operation keeps its operands, or swaps a
+    # product's two factors, so the bits stay the same.
+    rhs, c, m_lower, m_diag = out or [np.empty(theta_star.shape[0]) for _ in range(4)]
+    np.add(1.0, a_frozen, out=c)
     c *= grid.w
     c *= grid.dr
     np.divide(kappa, c, out=c)
-    m_lower = c * grid.face_area[:-1]
+    np.multiply(c, grid.face_area[:-1], out=m_lower)
     m_upper = np.multiply(c, grid.face_area[1:], out=c)
     m_upper[-1] = 0.0  # insulated wall: no conductive flux through the outer face
-    m_diag = np.add(m_lower, m_upper)
+    np.add(m_lower, m_upper, out=m_diag)
     np.negative(m_diag, out=m_diag)
     m_lower[0] = 0.0  # origin face area vanishes anyway; keep the invariant explicit
     if scheme == BACKWARD_EULER:
         weight = dt
-        rhs = theta_star
+        np.copyto(rhs, theta_star)
     else:
         weight = 0.5 * dt
-        rhs = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
+        tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star, rhs)
         rhs *= 0.5 * dt
         np.add(theta_star, rhs, out=rhs)
     # Dominance in floating point: with m_lower, m_upper >= 0 and q =
@@ -149,7 +148,7 @@ def _diffusion_solve_arrays(
     m_diag *= weight
     np.subtract(1.0, m_diag, out=m_diag)
     m_upper *= -weight
-    return tridiagonal_solve(m_lower, m_diag, m_upper, rhs)
+    return tridiagonal_solve(m_lower, m_diag, m_upper, rhs, True)
 
 
 def solve_diffusion(
@@ -178,11 +177,8 @@ def solve_diffusion(
 
 
 def _fourth_difference_filter(
-    a: np.ndarray,
-    u: np.ndarray,
-    theta: np.ndarray,
-    grid: RadialGrid,
-    coeff: float,
+    a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid, coeff: float,
+    out=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damp odd-even oscillations with a fourth-difference smoother.
 
@@ -191,31 +187,46 @@ def _fourth_difference_filter(
     matter what reaches the boundary; u and theta use the plain five-point
     stencil with parity ghosts at the origin, left untouched in the two
     outermost cells where the stencil would need wall ghosts.
-    Stability requires coeff <= 1/16.
+    Stability requires coeff <= 1/16.  ``out`` holds six buffers, apart
+    from the inputs: the results, then scratch of n + 4, n + 4 and n + 1
+    cells; by default they are new.
     """
+    n = grid.n_cells
+    if out is None:
+        out = [np.empty(k) for k in (n, n, n, n + 4, n + 4, n + 1)]
+    a_new, u_new, theta_new, g, gk, third = out
+    g[-2:] = 0.0  # past the wall; the first two cells take ghosts by parity
 
-    def filtered(f: np.ndarray, parity: float) -> np.ndarray:
+    def filtered(f: np.ndarray, parity: float, res: np.ndarray) -> np.ndarray:
         # f - coeff * (g[4:] - 4 g[3:-1] + 6 g[2:-2] - 4 g[1:-3] + g[:-4]) in
         # place and in order; one product 4 g (3 g below) serves two slices
-        g = np.concatenate((parity * f[1::-1], f, (0.0, 0.0)))  # ghosts by parity
-        g4 = 4.0 * g
-        out = g[4:] - g4[3:-1]
-        out += 6.0 * f
-        out -= g4[1:-3]
-        out += g[:-4]
-        out[-2:] = 0.0
-        out *= coeff
-        return np.subtract(f, out, out=out)
+        np.multiply(parity, f[1::-1], out=g[:2])
+        g[2:-2] = f
+        np.multiply(4.0, g, out=gk)
+        np.subtract(g[4:], gk[3:-1], out=res)
+        res += np.multiply(6.0, f, out=third[:n])
+        res -= gk[1:-3]
+        res += g[:-4]
+        res[-2:] = 0.0
+        res *= coeff
+        return np.subtract(f, res, out=res)
 
-    ga = np.concatenate((EVEN * a[1::-1], a, (0.0, 0.0)))
-    g3 = 3.0 * ga
+    np.multiply(EVEN, a[1::-1], out=g[:2])
+    g[2:-2] = a
+    np.multiply(3.0, g, out=gk)
     # Face third differences: G[j] couples cells j-2 .. j+1 and vanishes at
     # the origin face by parity, so the update telescopes in the w measure.
-    third = ga[3:] - g3[2:-1] + g3[1:-2] - ga[:-3]
-    face_flux = grid.face_area * grid.dr * third[: grid.n_cells + 1]
+    np.subtract(g[3:], gk[2:-1], out=third)
+    third += gk[1:-2]
+    third -= g[:-3]
+    face_flux = np.multiply(grid.face_area, grid.dr, out=gk[:-3])
+    face_flux *= third
     face_flux[-1] = 0.0  # no filter flux through the wall
-    a_new = a - coeff * (face_flux[1:] - face_flux[:-1]) / grid.w
-    return a_new, filtered(u, ODD), filtered(theta, EVEN)
+    np.subtract(face_flux[1:], face_flux[:-1], out=a_new)
+    np.multiply(coeff, a_new, out=a_new)
+    a_new /= grid.w
+    np.subtract(a, a_new, out=a_new)
+    return a_new, filtered(u, ODD, u_new), filtered(theta, EVEN, theta_new)
 
 
 #: Cells beyond the input's support [0, s) that a kappa = 0 step reaches:
@@ -262,6 +273,14 @@ def _resize(state: State, m: int) -> State:
     return State._adopt(*fields, state.t, state.params, state._validity)
 
 
+def _scratch(n: int) -> tuple:
+    """A step's aligned buffers on an n-cell grid, kernel by kernel (see step)."""
+    cells = [aligned(n) for _ in range(16)]
+    rhs1 = (*cells[4:9], aligned(n + 1, 1))
+    filter_ = (aligned(n + 4, 2), aligned(n + 4), aligned(n + 1))
+    return cells[:4], rhs1, (*cells[9:12], *rhs1[3:]), cells[12:15], cells[15], filter_
+
+
 def step(
     state: State,
     grid: RadialGrid,
@@ -273,7 +292,10 @@ def step(
     positivity breach the offending state is returned together with a
     failing validity report instead of raising.  At kappa = 0 the first m
     >= _support(state) + _REACH cells of the state and grid (a prefix
-    window) give the first m cells of the full-mesh step and its report."""
+    window) give the first m cells of the full-mesh step and its report.
+
+    It works in scratch buffers that it takes off ``grid.scratch`` (or
+    makes) and puts back, so steps run at once on one grid never share."""
     _check_step_args(dt, scheme)
     if not 0.0 <= filter_coeff <= MAX_FILTER_COEFF:
         raise ValueError(
@@ -284,6 +306,11 @@ def step(
         raise ValueError(f"state has {state.a.shape[0]} cells, grid has {n}")
     if not validate(state).ok:
         raise StateValidityError("step requires a valid input state")
+    try:
+        scratch = grid.scratch.pop()
+    except IndexError:
+        scratch = _scratch(n)
+    solve, rhs1, rhs2, sums, abs_du, filter_ = scratch
 
     kappa = state.params.kappa
     a, u, theta = state.a, state.u, state.theta
@@ -292,50 +319,65 @@ def step(
     memo_dr, du, da, _ = state._derivs
     if memo_dr != grid.dr:
         du = da = None
+    # The result's own arrays, cut from one block: the last pass of the step
+    # writes them, and a breach copies into them, so no State holds scratch.
+    k = -(-n // 8) * 8
+    block = aligned(2 * k + n)
+    out = block[:n], block[k : k + n], block[2 * k :]
 
-    def finish(a_new, u_new, theta_new, report):
-        du_dr = derivative_array(u_new, ODD, grid.dr)
+    def finish(report, a_new, u_new, theta_new):
+        for f, g in zip(out, (a_new, u_new, theta_new)):
+            if f is not g:  # a breach
+                np.copyto(f, g)
+        du_dr = derivative_array(out[1], ODD, grid.dr)
         t, params = state.t + dt, state.params
-        max_du = float(np.maximum.reduce(np.abs(du_dr)))
-        derivs = (grid.dr, du_dr, derivative_array(a_new, EVEN, grid.dr), max_du)
-        new = State._adopt(a_new, u_new, theta_new, t, params, report, derivs)
+        max_du = float(np.maximum.reduce(np.abs(du_dr, out=abs_du)))
+        grid.scratch.append(scratch)  # the step is done with its scratch
+        derivs = (grid.dr, du_dr, derivative_array(out[0], EVEN, grid.dr), max_du)
+        new = State._adopt(*out, t, params, report, derivs)
         return new, StepReport(validity=report, max_abs_du_dr=max_du)
 
     # First conduction half step (density coefficient frozen at entry).
     th0 = theta
     if kappa > 0.0:
-        th0 = _diffusion_solve_arrays(theta, a, grid, 0.5 * dt, kappa, scheme)
+        th0 = _diffusion_solve_arrays(theta, a, grid, 0.5 * dt, kappa, scheme, solve)
         # fl(1 + x) is nondecreasing; a NaN propagates to both ends
         lo, hi = np.minimum.reduce(th0), np.maximum.reduce(th0)
         if not (math.isfinite(hi) and 1.0 + lo > 0.0):
-            return finish(a, u, th0, check_fields(a, u, th0))
+            return finish(check_fields(a, u, th0), a, u, th0)
 
     # Convective substep.  The kernel returns (-da/dt, -du/dt, -dtheta/dt),
     # and f + dt * (-x) is f - dt * x bit for bit.  Stage 1: forward Euler.
-    a1, u1, th1 = convective_rhs(a, u, th0, grid, du, da)
+    a1, u1, th1 = convective_rhs(a, u, th0, grid, du, da, rhs1)
     for f, f1 in zip((a, u, th0), (a1, u1, th1)):
         np.subtract(f, np.multiply(f1, dt, out=f1), out=f1)
     validity = check_fields(a1, u1, th1)
     if not validity.ok:
-        return finish(a1, u1, th1, validity)
+        return finish(validity, a1, u1, th1)
 
-    # Stage 2: average with a forward-Euler step from stage 1.
-    a2, u2, th2 = a + a1, u + u1, th0 + th1
-    for f, r in zip((a2, u2, th2), convective_rhs(a1, u1, th1, grid)):
+    # Stage 2: average with a forward-Euler step from stage 1, written into
+    # the result's arrays where no later pass rewrites them.
+    last = out if filter_coeff == 0.0 else sums
+    a2 = np.add(a, a1, out=last[0])
+    u2 = np.add(u, u1, out=last[1])
+    th2 = np.add(th0, th1, out=sums[2] if kappa > 0.0 else last[2])
+    for f, r in zip((a2, u2, th2), convective_rhs(a1, u1, th1, grid, None, None, rhs2)):
         f -= np.multiply(r, dt, out=r)
         f *= 0.5
     validity = check_fields(a2, u2, th2)
     if not validity.ok:
-        return finish(a2, u2, th2, validity)
+        return finish(validity, a2, u2, th2)
 
     # Second conduction half step, frozen at the post-convection density.
     if kappa > 0.0:
-        th2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme)
+        into = solve if filter_coeff > 0.0 else (out[2], *solve[1:])
+        th2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme, into)
 
     if filter_coeff > 0.0:
-        a2, u2, th2 = _fourth_difference_filter(a2, u2, th2, grid, filter_coeff)
+        into = out + filter_
+        a2, u2, th2 = _fourth_difference_filter(a2, u2, th2, grid, filter_coeff, into)
 
-    return finish(a2, u2, th2, check_fields(a2, u2, th2))
+    return finish(check_fields(a2, u2, th2), a2, u2, th2)
 
 
 #: Width (in cells) of the outer guard band watched for boundary contact.
@@ -399,6 +441,8 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
         # No state check here: the initial state is valid by construction
         # and every later one passed the breach check below.
         dt = min(cfl_dt(state.u, state.theta, grid.dr, cfl), config.t_end - state.t)
+        if state.t + dt == state.t:  # validate() bounds the first step only
+            raise RuntimeError(f"dt = {dt} no longer advances t = {state.t}")
         state, step_report = step(
             state,
             window_grid,

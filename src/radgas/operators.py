@@ -13,10 +13,20 @@ at r_max.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 EVEN = 1.0
 ODD = -1.0
+
+
+def aligned(n: int, lead: int = 0) -> np.ndarray:
+    """An uninitialised float array of n cells whose cell ``lead`` starts on
+    a 64-byte boundary, which elementwise passes write up to twice as fast."""
+    raw = np.empty(n + 8)
+    skip = (-(ctypes.addressof(ctypes.c_char.from_buffer(raw)) >> 3) - lead) % 8
+    return raw[skip : skip + n]
 
 
 def derivative_array(values: np.ndarray, parity: float, dr: float) -> np.ndarray:
@@ -24,7 +34,7 @@ def derivative_array(values: np.ndarray, parity: float, dr: float) -> np.ndarray
     one-sided second-order at the outer edge.  Array-level kernel."""
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be EVEN (1.0) or ODD (-1.0), got {parity!r}")
-    out = np.empty(values.shape[0])
+    out = aligned(values.shape[0], 1)  # out[1:-1] takes the two passes
     np.subtract(values[2:], values[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * dr
     # The ghost at -dr/2 is parity * f[0].  Python floats would pick other NaNs.

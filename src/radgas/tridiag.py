@@ -17,17 +17,18 @@ from scipy.linalg.lapack import dgtsv
 
 
 def tridiagonal_matvec(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, x: np.ndarray
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, x: np.ndarray, out=None
 ) -> np.ndarray:
     """A x for A given by its diagonals (lower[0] and upper[-1] unused)."""
-    out = diag * x
+    out = np.multiply(diag, x, out=out)
     out[1:] += lower[1:] * x[:-1]
     out[:-1] += upper[:-1] * x[1:]
     return out
 
 
 def tridiagonal_solve(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
+    overwrite: bool = False,
 ) -> np.ndarray:
     """Solve A x = rhs for a strictly diagonally dominant, finite A.
 
@@ -36,14 +37,16 @@ def tridiagonal_solve(
     dominance and finiteness of A.  Raises ValueError if rhs holds an
     infinity or NaN, and LinAlgError if LAPACK meets a zero pivot.  LAPACK
     gets the same arrays as ``scipy.linalg.solve_banded((1, 1), ...)`` hands
-    it, so the solution is bitwise equal to that route.
+    it, so the solution is bitwise equal to that route.  With ``overwrite``,
+    dgtsv factors in the (writable) diagonals and solves in rhs itself.
     """
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     if diag.shape[0] == 1:
         x = rhs / diag
     else:
-        _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+        flags = [int(overwrite)] * 4  # f2py overwrites even a read-only array
+        _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs, *flags)
         if info > 0:
             raise LinAlgError("singular matrix")
         if info < 0:

@@ -243,6 +243,19 @@ class TestValidate:
                  "t_end": 1.0, "init_family": "zero"},
                 "diagonal dominance",
             ),
+            # cfl * dr / sqrt(2) underflows to dt = 0: the run raised on its
+            # first step (exit 1) and left a partial timeseries
+            (
+                {"eps": 0.0, "kappa": 0.0, "r_max": 1e-90, "n_cells": 8,
+                 "t_end": 1e-300, "init_family": "zero", "cfl": 1e-250},
+                r"= inf steps, more than 2\*\*40",
+            ),
+            # dt = 8.8e-19: at t = 0.05, t + dt == t and the run never ended
+            (
+                {"eps": 0.0, "kappa": 0.0, "r_max": 1.0, "n_cells": 8,
+                 "t_end": 0.1, "init_family": "zero", "cfl": 1e-17},
+                r"= 1.13e\+17 steps, more than 2\*\*40",
+            ),
         ],
     )
     def test_rejects_non_finite_or_unstable(self, overrides, fragment):

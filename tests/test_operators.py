@@ -54,13 +54,14 @@ def laplacian_rows(grid):
     These are the rows of M in M theta = kappa * lap(theta) / (1 + a) at
     kappa = 1 and a = 0, taken from the Crank-Nicolson right-hand side,
     which applies M to the input field.  The spy copies the rows, because
-    the solve goes on to scale them in place into I - weight * M.
+    the solve goes on to scale them in place into I - weight * M.  It hands
+    the output buffer on: the right-hand side is built in it.
     """
     rows = []
 
-    def spy(lower, diag, upper, x):
+    def spy(lower, diag, upper, x, out=None):
         rows.append((lower.copy(), diag.copy(), upper.copy()))
-        return tridiagonal_matvec(lower, diag, upper, x)
+        return tridiagonal_matvec(lower, diag, upper, x, out)
 
     zero = np.zeros(grid.n_cells)
     with pytest.MonkeyPatch.context() as mp:

@@ -146,9 +146,10 @@ def test_conduction_keeps_the_weighted_heat_content(inputs, dt, kappa, scheme):
     grid, a, theta = inputs
     systems = []
 
-    def spy(lower, diag, upper, b):
-        systems.append((lower, diag, upper, b))
-        return tridiagonal_solve(lower, diag, upper, b)
+    def spy(lower, diag, upper, b, overwrite=False):
+        # copies: the conduction solve lets dgtsv overwrite its system
+        systems.append(tuple(x.copy() for x in (lower, diag, upper, b)))
+        return tridiagonal_solve(lower, diag, upper, b, overwrite)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrator, "tridiagonal_solve", spy)

@@ -264,6 +264,20 @@ class TestCliMain:
                 "eps = 0.5\nkappa = 2.26e15\nr_max = 16.0\nn_cells = 16\n"
                 "t_end = 1.0\ninit_family = zero",
             ),
+            # more than 2**40 steps: dt underflows to 0 (the run exited 1),
+            # or t + dt == t part way and the run never ended
+            (
+                "eps = 1e-3\nkappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4\n"
+                "cfl = 0.25",
+                "eps = 0.0\nkappa = 0.0\nr_max = 1e-90\nn_cells = 8\nt_end = 1e-300\n"
+                "init_family = zero\ncfl = 1e-250",
+            ),
+            (
+                "eps = 1e-3\nkappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4\n"
+                "cfl = 0.25",
+                "eps = 0.0\nkappa = 0.0\nr_max = 1.0\nn_cells = 8\nt_end = 0.1\n"
+                "init_family = zero\ncfl = 1e-17",
+            ),
         ],
     )
     def test_non_finite_or_unstable_value_is_config_error(
