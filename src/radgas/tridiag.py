@@ -38,8 +38,11 @@ def tridiagonal_solve(
     infinity or NaN, and LinAlgError if LAPACK meets a zero pivot.  LAPACK
     gets the same arrays as ``scipy.linalg.solve_banded((1, 1), ...)`` hands
     it, so the solution is bitwise equal to that route.  With ``overwrite``,
-    dgtsv factors in the (writable) diagonals and solves in rhs itself.
+    dgtsv factors and solves in the four arrays; a read-only one raises ValueError.
     """
+    if overwrite and not (lower.flags.writeable and diag.flags.writeable
+                          and upper.flags.writeable and rhs.flags.writeable):
+        raise ValueError("overwrite=True needs writeable arrays")
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     if diag.shape[0] == 1:

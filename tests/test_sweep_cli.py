@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import re
 from concurrent.futures import Future
 
 import pytest
@@ -11,6 +12,8 @@ from radgas import cli, integrator
 from radgas.cli import build_parser, main
 from radgas.config import ConfigError, RunConfig
 from radgas.sweep import sweep
+
+import unrunnable
 
 # radgas.sweep, the attribute, is the function; this is its module
 sweep_module = importlib.import_module("radgas.sweep")
@@ -216,82 +219,18 @@ class TestCliMain:
         assert code == 0
         assert "config ok" in capsys.readouterr().out
 
-    def test_validate_config_error(self, tmp_path, capsys):
-        bad = BASE_TEXT.replace("kappa = 1.0", "kappa = -1.0")
-        code = main(["validate-config", self.write(tmp_path, bad)])
-        assert code == 3
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("verb", ["validate-config", "run"])
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("r_max = 12.0", "r_max = inf"),
-            ("cfl = 0.25", "cfl = 0.25\nfilter_coeff = nan"),
-            ("cfl = 0.25", "cfl = 0.25\nfilter_coeff = 0.5"),
-            # the outer cell's volume w or w * dr overflows
-            (
-                "kappa = 1.0\nr_max = 12.0\nn_cells = 96",
-                "kappa = 0.0\nr_max = 1e104\nn_cells = 16",
-            ),
-            ("r_max = 12.0\nn_cells = 96", "r_max = 1e104\nn_cells = 16"),
-            ("r_max = 12.0\nn_cells = 96", "r_max = 1e80\nn_cells = 16"),
-            # the innermost cell's volume w underflows to 0
-            (
-                "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
-                "kappa = 0.0\nr_max = 1e-120\nn_cells = 16\nt_end = 1e-121\n"
-                "init_family = zero",
-            ),
-            # conduction's innermost kappa / (w * dr) overflows: w * dr is 0,
-            # or normal (about 1.2e-307) with kappa = 1000
-            (
-                "r_max = 12.0\nn_cells = 96\nt_end = 0.4",
-                "r_max = 1e-100\nn_cells = 16\nt_end = 1e-250\ninit_family = zero",
-            ),
-            (
-                "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
-                "kappa = 1000.0\nr_max = 2.08e-76\nn_cells = 16\nt_end = 1e-250\n"
-                "init_family = zero",
-            ),
-            # the first conduction half step cannot keep diagonal dominance
-            (
-                "kappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
-                "kappa = 1e16\nr_max = 12.0\nn_cells = 120\nt_end = 0.01",
-            ),
-            # zero data, whose first dt is the largest: it used to validate
-            (
-                "eps = 1e-3\nkappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4",
-                "eps = 0.5\nkappa = 2.26e15\nr_max = 16.0\nn_cells = 16\n"
-                "t_end = 1.0\ninit_family = zero",
-            ),
-            # more than 2**40 steps: dt underflows to 0 (the run exited 1),
-            # or t + dt == t part way and the run never ended
-            (
-                "eps = 1e-3\nkappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4\n"
-                "cfl = 0.25",
-                "eps = 0.0\nkappa = 0.0\nr_max = 1e-90\nn_cells = 8\nt_end = 1e-300\n"
-                "init_family = zero\ncfl = 1e-250",
-            ),
-            (
-                "eps = 1e-3\nkappa = 1.0\nr_max = 12.0\nn_cells = 96\nt_end = 0.4\n"
-                "cfl = 0.25",
-                "eps = 0.0\nkappa = 0.0\nr_max = 1.0\nn_cells = 8\nt_end = 0.1\n"
-                "init_family = zero\ncfl = 1e-17",
-            ),
-        ],
-    )
-    def test_non_finite_or_unstable_value_is_config_error(
-        self, tmp_path, capsys, verb, old, new
-    ):
-        path = self.write(tmp_path, BASE_TEXT.replace(old, new))
+    @pytest.mark.parametrize("name", unrunnable.ENTRIES)
+    def test_unrunnable_config_is_config_error(self, tmp_path, capsys, name):
+        # validate-config goes first: a config that validated would start a run
+        path = self.write(tmp_path, unrunnable.config_text(name))
         out_dir = tmp_path / "out"
-        if verb == "run":
-            code = main(["run", "--config", path, "--out", str(out_dir)])
-        else:
-            code = main(["validate-config", path])
-        assert code == 3
-        assert "config error" in capsys.readouterr().err
-        assert not out_dir.exists()
+        run = ["run", "--config", path, "--out", str(out_dir)]
+        for args in (["validate-config", path], run):
+            assert main(args) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert re.search(unrunnable.ENTRIES[name][1], err)
+            assert not out_dir.exists()
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code = main(["validate-config", str(tmp_path / "absent.txt")])

@@ -135,3 +135,22 @@ def test_identity_system():
     )
     np.testing.assert_array_equal(solve_tridiagonal(sys), np.arange(5.0))
     np.testing.assert_array_equal(thomas_solve(sys), np.arange(5.0))
+
+
+@pytest.mark.parametrize("locked", ["lower", "diag", "upper", "rhs"])
+def test_overwrite_refuses_a_read_only_array(locked):
+    # f2py's dgtsv ignores numpy's writeable flag: asked to overwrite, it
+    # used to rewrite locked diagonals and rhs and return the locked rhs
+    sys = random_dominant_system(np.random.default_rng(8), 8)
+    names = ("lower", "diag", "upper", "rhs")
+    arrays = {name: getattr(sys, name).copy() for name in names}
+    arrays[locked].setflags(write=False)
+    before = {name: f.tobytes() for name, f in arrays.items()}
+    with pytest.raises(ValueError, match="writeable"):
+        tridiagonal_solve(**arrays, overwrite=True)
+    assert {name: f.tobytes() for name, f in arrays.items()} == before
+    # without overwrite the same arrays still solve, untouched
+    x = tridiagonal_solve(**arrays)
+    assert {name: f.tobytes() for name, f in arrays.items()} == before
+    copies = {name: f.copy() for name, f in arrays.items()}
+    assert tridiagonal_solve(**copies, overwrite=True).tobytes() == x.tobytes()
