@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -50,6 +49,7 @@ def sweep(
     jobs = list(members.values())
     if parallelism == 1 or len(jobs) <= 1:
         return [run_to_dir(config, out_dir) for config, out_dir in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps import it
     with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
         futures = [pool.submit(run_to_dir, c, d) for c, d in jobs]
         return [future.result() for future in futures]

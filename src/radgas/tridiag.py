@@ -4,16 +4,31 @@
 diagonals and a finite right-hand side as plain arrays and returns dgtsv's
 solution, its caller vouching for strict diagonal dominance.  The conduction
 half steps call it behind a scalar precondition; :func:`solve_tridiagonal`
-checks a :class:`TridiagonalSystem` row by row first.
+checks a :class:`TridiagonalSystem` row by row first.  ``dgtsv`` is bound
+from ``scipy/linalg/_flapack``, the extension ``scipy.linalg.lapack`` wraps,
+loaded by path: same code, without ``scipy.linalg``'s import (over half the start-up).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+import scipy
+
+
+def _load_flapack(directory: str | Path):
+    """scipy's ``_flapack`` from ``directory``, loaded under its scipy module name."""
+    path = Path(directory, "_flapack" + EXTENSION_SUFFIXES[0])
+    if not path.is_file():
+        raise ImportError(f"no {path.name} in {directory} (scipy {scipy.__version__})")
+    return module_from_spec(spec_from_file_location("scipy.linalg._flapack", path))
+
+
+dgtsv = _load_flapack(Path(scipy.__file__).parent / "linalg").dgtsv
 
 
 def tridiagonal_matvec(
@@ -51,7 +66,7 @@ def tridiagonal_solve(
         flags = [int(overwrite)] * 4  # f2py overwrites even a read-only array
         _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs, *flags)
         if info > 0:
-            raise LinAlgError("singular matrix")
+            raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x

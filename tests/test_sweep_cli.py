@@ -1,10 +1,9 @@
 """Sweep driver and the command-line harness."""
 
+import concurrent.futures
 import dataclasses
-import importlib
 import json
 import re
-from concurrent.futures import Future
 
 import pytest
 
@@ -14,9 +13,6 @@ from radgas.config import ConfigError, RunConfig
 from radgas.sweep import sweep
 
 import unrunnable
-
-# radgas.sweep, the attribute, is the function; this is its module
-sweep_module = importlib.import_module("radgas.sweep")
 
 BASE_TEXT = """
 eps = 1e-3
@@ -163,11 +159,12 @@ class TestSweep:
                 return False
 
             def submit(self, fn, *args):
-                future = Future()
+                future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+        # sweep imports the pool class from here, and only for a parallel sweep
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         summaries = sweep(base_config(), "kappa", [0.0, 1.0], parallelism=64)
         assert sizes == [2]
         assert [s.run_id for s in summaries] == [
