@@ -27,7 +27,7 @@ from operator import add
 import numpy as np
 
 from .grid import RadialGrid
-from .operators import EVEN, ODD, derivative_array
+from .operators import EVEN, ODD, aligned, derivative_array
 from .state import State, StateValidityError, validate
 
 MAX_DIAG_ORDER = 6
@@ -85,7 +85,7 @@ class ListSink(DiagnosticsSink):
         self.breach_state = state
 
 
-def _record_scalars(w, a, u, theta, shock, u_sq, dtheta_sq) -> tuple[float, ...]:
+def _record_scalars(w, a, u, theta, shock, u_sq, dtheta_sq, out) -> tuple[float, ...]:
     """Array kernel of a record's scalars, in SCALAR_FIELDS order.
 
     Each pointwise term that two integrals share is formed once, and the
@@ -94,18 +94,22 @@ def _record_scalars(w, a, u, theta, shock, u_sq, dtheta_sq) -> tuple[float, ...]
     integrand starts from the entropy integrand e = (1+a)(ln(1+theta) -
     ln(1+a)): (1+a)(ln(1+a) - ln(1+theta)) is -e exactly, and -e + k is
     k - e.  The log terms need 1 + a > 0 and 1 + theta > 0.  ``w.dot`` is
-    the BLAS dot that ``w @`` calls, without the matmul dispatch.
+    the BLAS dot that ``w @`` calls, without the matmul dispatch.  ``out``
+    holds five scratch buffers of a's length.
     """
     dot = w.dot
-    one_a = 1.0 + a
-    momentum = float(dot(one_a * u))
-    kinetic = one_a * u_sq
+    one_a, kinetic, a_theta, entropy, log_a = out
+    np.add(1.0, a, out=one_a)
+    momentum = float(dot(np.multiply(one_a, u, out=kinetic)))
+    np.multiply(one_a, u_sq, out=kinetic)
     kinetic /= 2.0
-    a_theta = a * theta
-    energy = float(dot(kinetic + a_theta + theta))
-    # each buffer is reused once read, so that few arrays are alive at once
-    entropy = np.log1p(theta)
-    entropy -= np.log1p(a)
+    np.multiply(a, theta, out=a_theta)
+    total = np.add(kinetic, a_theta, out=entropy)
+    total += theta
+    energy = float(dot(total))
+    # each buffer is reused once read, in the operand order of the formulas
+    np.log1p(theta, out=entropy)
+    entropy -= np.log1p(a, out=log_a)
     entropy *= one_a
     entropy_total = float(dot(entropy))
     lyapunov = np.subtract(kinetic, entropy, out=kinetic)
@@ -150,14 +154,14 @@ def _running_max(sup: float, value: float) -> float:
 
 
 def _derivative_chain(
-    values: np.ndarray, parity: float, grid: RadialGrid, orders: int
+    values: np.ndarray, parity: float, grid: RadialGrid, orders: int, out=None
 ) -> list[np.ndarray]:
-    """[f, f', f'', ...] up to the requested number of derivatives."""
+    """[f, f', f'', ...] up to the requested number of derivatives; ``out``
+    holds a buffer for each derivative, by default new ones."""
     chain = [values]
-    p = parity
-    for _ in range(orders):
-        chain.append(derivative_array(chain[-1], p, grid.dr))
-        p = -p
+    for j in range(orders):
+        chain.append(derivative_array(chain[-1], parity, grid.dr, out and out[j]))
+        parity = -parity
     return chain
 
 
@@ -181,6 +185,8 @@ class DiagnosticsCollector:
     A record reads the state and writes nothing into it: it takes du/dr,
     da/dr and max |du/dr| from the memo the step left at this cell width,
     and derives them itself otherwise (a constructor-built or padded state).
+    It works in aligned buffers of the grid's size that the collector owns,
+    so a record allocates no array.
     """
 
     def __init__(self, grid: RadialGrid, max_k: int) -> None:
@@ -195,30 +201,41 @@ class DiagnosticsCollector:
         self._int = [0.0] * (2 * max_k + 1)
         self._prev_t: float | None = None
         self._prev_rates = [0.0] * (2 * max_k + 1)
+        # du/dr, da/dr and the chain's derivatives, whose out[1:-1] the
+        # kernel writes; then u**2, theta'**2 and the scalars' scratch
+        self._chain_out = [aligned(grid.n_cells, 1) for _ in range(max_k + 3)]
+        self._cells = [aligned(grid.n_cells) for _ in range(7)]
 
     def update(self, state: State) -> DiagnosticsRecord:
         """One record in one pass: the state is checked once, and a to order
         K, u to max(K, 1) and theta to K+1 are each derived and normed once
         (du/dr and da/dr not at all if the state carries them)."""
+        grid, w, k, n = self.grid, self.grid.w, self.max_k, self.grid.n_cells
+        a, u, theta = state.a, state.u, state.theta
+        if a.shape[0] != n:
+            raise ValueError(f"state has {a.shape[0]} cells, grid has {n}")
         if not validate(state).ok:
             raise StateValidityError("diagnostics require a valid state")
-        grid, w, k = self.grid, self.grid.w, self.max_k
-        dot = w.dot
+        dot, (du_out, da_out, *chain) = w.dot, self._chain_out
+        u2, dtheta2, sq = self._cells[:3]
+
+        def norm(f, out=sq):
+            return float(dot(np.square(f, out=out)))
+
         memo_dr, du, da, shock = state._derivs
         if memo_dr != grid.dr:
-            du = derivative_array(state.u, ODD, grid.dr)
-            da = derivative_array(state.a, EVEN, grid.dr) if k else None
-            shock = float(np.maximum.reduce(np.abs(du)))
-        a_chain = [state.a, *_derivative_chain(da, ODD, grid, k - 1)][: k + 1]
-        u_chain = [state.u, *_derivative_chain(du, EVEN, grid, max(k, 1) - 1)]
-        th_chain = _derivative_chain(state.theta, EVEN, grid, k + 1)
-        # u**2 and theta'**2 serve the scalars too; every other square is
-        # freed after its dot, which keeps the record's live arrays few
-        u2, dtheta2 = state.u**2, th_chain[1] ** 2
-        a_sq = [float(dot(f**2)) for f in a_chain]
-        u_sq = [float(dot(u2)), *(float(dot(f**2)) for f in u_chain[1 : k + 1])]
-        th_sq = [float(dot(th_chain[0] ** 2)), float(dot(dtheta2))]
-        th_sq += (float(dot(f**2)) for f in th_chain[2:])
+            du = derivative_array(u, ODD, grid.dr, du_out)
+            da = derivative_array(a, EVEN, grid.dr, da_out) if k else None
+            shock = float(np.maximum.reduce(np.abs(du, out=sq)))
+        # each chain is normed before the next one reuses its buffers; u**2
+        # and theta'**2 keep theirs, because they serve the scalars too
+        u_sq = [norm(u, u2)]
+        u_sq += map(norm, _derivative_chain(du, EVEN, grid, k - 1, chain)[:k])
+        a_sq = [norm(a)]
+        a_sq += map(norm, _derivative_chain(da, ODD, grid, k - 1, chain)[:k])
+        th_chain = _derivative_chain(theta, EVEN, grid, k + 1, chain)
+        th_sq = [norm(th_chain[0]), norm(th_chain[1], dtheta2)]
+        th_sq += map(norm, th_chain[2:])
         trip = [a_sq[j] + u_sq[j] + th_sq[j] for j in range(k + 1)]
         rates = th_sq[1:] + [a_sq[j] + u_sq[j] for j in range(1, k + 1)]
 
@@ -236,7 +253,7 @@ class DiagnosticsCollector:
         self._prev_t, self._prev_rates = t, rates
         return DiagnosticsRecord(
             t,
-            *_record_scalars(w, state.a, state.u, state.theta, shock, u2, dtheta2),
+            *_record_scalars(w, a, u, theta, shock, u2, dtheta2, self._cells[2:]),
             e_k1=tuple(accumulate(map(add, self._sup, self._int))),
             e_k2=tuple(accumulate(self._int[k + 1 :])),
             grad_theta_sq=rates[0],

@@ -71,23 +71,23 @@ def convective_rhs_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array kernel of :func:`convective_rhs`, un-negated: (-da_dt, -du_dt,
     -dtheta_dt).  ``du`` and ``da`` are du/dr of u and da/dr of a if the
-    caller has them.  ``out`` holds six buffers, apart from the inputs: the
-    results, then scratch for 1 + a, 1 + theta and the n + 1 face fluxes;
-    by default they are new arrays.
+    caller has them.  ``out`` holds nine buffers, apart from the inputs: the
+    results, then scratch for 1 + a, 1 + theta, the n + 1 face fluxes and
+    the derivatives of u, theta and a; by default they are new arrays.
 
     It does not check the state; the caller vouches that 1 + a > 0.
     """
     dr, n = grid.dr, a.shape[0]
     if out is None:
-        out = [np.empty(n) for _ in range(5)] + [np.empty(n + 1)]
-    a_sum, u_sum, theta_sum, rho, temp, flux = out
+        out = [np.empty(n) for _ in range(5)] + [np.empty(n + 1)] + [None] * 3
+    a_sum, u_sum, theta_sum, rho, temp, flux, d_u, d_theta, d_a = out
     np.add(1.0, a, out=rho)
     np.add(1.0, theta, out=temp)
     if du is None:
-        du = derivative_array(u, ODD, dr)
-    dtheta = derivative_array(theta, EVEN, dr)
+        du = derivative_array(u, ODD, dr, d_u)
+    dtheta = derivative_array(theta, EVEN, dr, d_theta)
     if da is None:
-        da = derivative_array(a, EVEN, dr)
+        da = derivative_array(a, EVEN, dr, d_a)
     # u du + dtheta + temp / rho * da, then u dtheta + temp (du + 2 u / r), in
     # place with the operands in order for NaN bits; theta_sum is the scratch
     np.multiply(u, du, out=u_sum)
@@ -191,10 +191,13 @@ def characteristic_speeds(a, u, theta):
     return (u_b - c_b, u_b.copy(), u_b + c_b)
 
 
-def cfl_dt_arrays(u: np.ndarray, theta: np.ndarray, dr: float, cfl: float) -> float:
-    """Array kernel of :func:`cfl_dt`; it checks neither the state nor cfl."""
-    speed = float(np.maximum.reduce(np.abs(u) + sound_speed(theta)))
-    return cfl * dr / speed
+def cfl_dt_arrays(u, theta, dr: float, cfl: float, out=None) -> float:
+    """Array kernel of :func:`cfl_dt`; it checks neither the state nor cfl.
+    ``out`` is a pair of scratch buffers of u's length; by default they are new."""
+    speed, c = out or (np.empty(u.shape[0]), np.empty(u.shape[0]))
+    np.multiply(2.0, np.add(1.0, theta, out=c), out=c)
+    np.add(np.abs(u, out=speed), np.sqrt(c, out=c), out=speed)
+    return cfl * dr / float(np.maximum.reduce(speed))
 
 
 def cfl_dt(state: State, grid: RadialGrid, cfl: float) -> float:

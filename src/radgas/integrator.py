@@ -263,22 +263,32 @@ def _crop_grid(grid: RadialGrid, m: int) -> RadialGrid:
     return RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
 
 
-def _resize(state: State, m: int) -> State:
-    """The state cut or padded with +0.0 to m cells.  It keeps its check,
-    which +0.0 cells at its end (_REACH) do not change."""
-    if m == state.a.shape[0]:
+def _rows(count: int, n: int) -> np.ndarray:
+    """A (count, n) view of one aligned block, its rows n rounded up to 8
+    cells apart, so that each starts on a 64-byte line."""
+    k = -(-n // 8) * 8
+    return aligned(count * k).reshape(count, k)[:, :n]
+
+
+def _resize(state: State, m: int, into=None) -> State:
+    """The state cut or padded with +0.0 to m cells, in the rows of ``into``
+    or of a new block.  It keeps its check, which +0.0 cells at its end
+    (_REACH) do not change."""
+    width = state.a.shape[0]
+    if m == width:
         return state
-    tail = np.zeros(max(0, m - state.a.shape[0]))
-    fields = (np.concatenate((f[:m], tail)) for f in (state.a, state.u, state.theta))
-    return State._adopt(*fields, state.t, state.params, state._validity)
+    rows = _rows(3, m) if into is None else into
+    for row, f in zip(rows, (state.a, state.u, state.theta)):
+        row[:width], row[width:] = f[:m], 0.0
+    return State._adopt(*rows, state.t, state.params, state._validity)
 
 
 def _scratch(n: int) -> tuple:
     """A step's aligned buffers on an n-cell grid, kernel by kernel (see step)."""
-    cells = [aligned(n) for _ in range(16)]
-    rhs1 = (*cells[4:9], aligned(n + 1, 1))
+    cells = [aligned(n) for _ in range(10)]
+    work = (*cells[4:6], aligned(n + 1, 1), *(aligned(n, 1) for _ in range(3)))
     filter_ = (aligned(n + 4, 2), aligned(n + 4), aligned(n + 1))
-    return cells[:4], rhs1, (*cells[9:12], *rhs1[3:]), cells[12:15], cells[15], filter_
+    return cells[:4], _rows(3, n), work, cells[6:9], _rows(3, n), cells[9], filter_
 
 
 def step(
@@ -310,7 +320,7 @@ def step(
         scratch = grid.scratch.pop()
     except IndexError:
         scratch = _scratch(n)
-    solve, rhs1, rhs2, sums, abs_du, filter_ = scratch
+    solve, rows1, work, results2, sums, abs_du, filter_ = scratch
 
     kappa = state.params.kappa
     a, u, theta = state.a, state.u, state.theta
@@ -319,22 +329,25 @@ def step(
     memo_dr, du, da, _ = state._derivs
     if memo_dr != grid.dr:
         du = da = None
-    # The result's own arrays, cut from one block: the last pass of the step
-    # writes them, and a breach copies into them, so no State holds scratch.
-    k = -(-n // 8) * 8
-    block = aligned(2 * k + n)
-    out = block[:n], block[k : k + n], block[2 * k :]
+    # The result's arrays, and its du/dr and da/dr (out[1:-1] aligned), are
+    # rows of one block: the last pass of the step writes them, and a breach
+    # copies into them, so no State holds scratch.
+    block = _rows(5, n + 7)
+    rows, memo = block[:3, :n], block[3:, 7:]
+    out = tuple(rows)
 
-    def finish(report, a_new, u_new, theta_new):
-        for f, g in zip(out, (a_new, u_new, theta_new)):
-            if f is not g:  # a breach
+    def finish(fields, report=None):
+        for f, g in zip(out, fields):
+            if f is not g:  # a breach, or theta from the second solve
                 np.copyto(f, g)
-        du_dr = derivative_array(out[1], ODD, grid.dr)
+        if report is None:
+            report = check_fields(*out, rows)
+        du_dr = derivative_array(out[1], ODD, grid.dr, memo[0])
         t, params = state.t + dt, state.params
         max_du = float(np.maximum.reduce(np.abs(du_dr, out=abs_du)))
         grid.scratch.append(scratch)  # the step is done with its scratch
-        derivs = (grid.dr, du_dr, derivative_array(out[0], EVEN, grid.dr), max_du)
-        new = State._adopt(*out, t, params, report, derivs)
+        da_dr = derivative_array(out[0], EVEN, grid.dr, memo[1])
+        new = State._adopt(*out, t, params, report, (grid.dr, du_dr, da_dr, max_du))
         return new, StepReport(validity=report, max_abs_du_dr=max_du)
 
     # First conduction half step (density coefficient frozen at entry).
@@ -344,40 +357,38 @@ def step(
         # fl(1 + x) is nondecreasing; a NaN propagates to both ends
         lo, hi = np.minimum.reduce(th0), np.maximum.reduce(th0)
         if not (math.isfinite(hi) and 1.0 + lo > 0.0):
-            return finish(check_fields(a, u, th0), a, u, th0)
+            return finish((a, u, th0))
 
     # Convective substep.  The kernel returns (-da/dt, -du/dt, -dtheta/dt),
     # and f + dt * (-x) is f - dt * x bit for bit.  Stage 1: forward Euler.
-    a1, u1, th1 = convective_rhs(a, u, th0, grid, du, da, rhs1)
+    a1, u1, th1 = convective_rhs(a, u, th0, grid, du, da, (*rows1, *work))
     for f, f1 in zip((a, u, th0), (a1, u1, th1)):
         np.subtract(f, np.multiply(f1, dt, out=f1), out=f1)
-    validity = check_fields(a1, u1, th1)
+    validity = check_fields(a1, u1, th1, rows1)
     if not validity.ok:
-        return finish(validity, a1, u1, th1)
+        return finish((a1, u1, th1), validity)
 
-    # Stage 2: average with a forward-Euler step from stage 1, written into
-    # the result's arrays where no later pass rewrites them.
-    last = out if filter_coeff == 0.0 else sums
-    a2 = np.add(a, a1, out=last[0])
-    u2 = np.add(u, u1, out=last[1])
-    th2 = np.add(th0, th1, out=sums[2] if kappa > 0.0 else last[2])
-    for f, r in zip((a2, u2, th2), convective_rhs(a1, u1, th1, grid, None, None, rhs2)):
+    # Stage 2: average with a forward-Euler step from stage 1; with no filter
+    # it writes the result's rows (finish copies the second solve's theta in).
+    last, last_rows = (out, rows) if filter_coeff == 0.0 else (tuple(sums), sums)
+    a2, u2, th2 = map(np.add, (a, u, th0), (a1, u1, th1), last)
+    rhs2 = convective_rhs(a1, u1, th1, grid, None, None, (*results2, *work))
+    for f, r in zip((a2, u2, th2), rhs2):
         f -= np.multiply(r, dt, out=r)
         f *= 0.5
-    validity = check_fields(a2, u2, th2)
+    validity = check_fields(a2, u2, th2, last_rows)
     if not validity.ok:
-        return finish(validity, a2, u2, th2)
+        return finish((a2, u2, th2), validity)
 
     # Second conduction half step, frozen at the post-convection density.
     if kappa > 0.0:
-        into = solve if filter_coeff > 0.0 else (out[2], *solve[1:])
-        th2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme, into)
+        th2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme, solve)
 
     if filter_coeff > 0.0:
-        into = out + filter_
+        into = (*out, *filter_)
         a2, u2, th2 = _fourth_difference_filter(a2, u2, th2, grid, filter_coeff, into)
 
-    return finish(check_fields(a2, u2, th2), a2, u2, th2)
+    return finish((a2, u2, th2))
 
 
 #: Width (in cells) of the outer guard band watched for boundary contact.
@@ -429,6 +440,9 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
 
     n, window_grid = grid.n_cells, grid
     m = n if config.kappa > 0.0 else _support(state) + _REACH + _SLACK
+    # The run's own rows for a record's window padded to n cells; the CFL
+    # step takes two of them as scratch between records.
+    pad = _rows(3, n)
 
     reason = "time-complete"
     steps = 0
@@ -440,7 +454,8 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
             state, window_grid = _resize(state, m), _crop_grid(grid, m)
         # No state check here: the initial state is valid by construction
         # and every later one passed the breach check below.
-        dt = min(cfl_dt(state.u, state.theta, grid.dr, cfl), config.t_end - state.t)
+        dt = cfl_dt(state.u, state.theta, grid.dr, cfl, (pad[0, :m], pad[1, :m]))
+        dt = min(dt, config.t_end - state.t)
         if state.t + dt == state.t:  # validate() bounds the first step only
             raise RuntimeError(f"dt = {dt} no longer advances t = {state.t}")
         state, step_report = step(
@@ -465,7 +480,7 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
             record = emit(state)
             break
         if steps % config.output_every == 0 or state.t >= config.t_end - time_tol:
-            record = emit(_resize(state, n))
+            record = emit(_resize(state, n, pad))
 
     return RunSummary(
         run_id=config.run_id,

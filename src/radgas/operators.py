@@ -29,12 +29,14 @@ def aligned(n: int, lead: int = 0) -> np.ndarray:
     return raw[skip : skip + n]
 
 
-def derivative_array(values: np.ndarray, parity: float, dr: float) -> np.ndarray:
+def derivative_array(values, parity: float, dr: float, out=None) -> np.ndarray:
     """d/dr of cell-centered values: central interior, parity ghost at r=0,
-    one-sided second-order at the outer edge.  Array-level kernel."""
+    one-sided second-order at the outer edge.  Array-level kernel; ``out``,
+    not ``values``, takes the result, by default a new array."""
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be EVEN (1.0) or ODD (-1.0), got {parity!r}")
-    out = aligned(values.shape[0], 1)  # out[1:-1] takes the two passes
+    if out is None:
+        out = aligned(values.shape[0], 1)  # out[1:-1] takes the two passes
     np.subtract(values[2:], values[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * dr
     # The ghost at -dr/2 is parity * f[0].  Python floats would pick other NaNs.

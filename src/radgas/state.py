@@ -117,12 +117,15 @@ class ValidityReport:
     all_finite: bool
 
 
-def check_fields(a: np.ndarray, u: np.ndarray, theta: np.ndarray) -> ValidityReport:
+def check_fields(a, u, theta, rows=None) -> ValidityReport:
     """Array kernel of :func:`validate`: positivity of 1 + a and 1 + theta
-    and finiteness of the three fields, from their mins and maxes (NaN spreads)."""
-    lo, hi = np.minimum.reduce, np.maximum.reduce
-    lo_a, lo_theta = float(lo(a)), float(lo(theta))
-    finite = all(map(math.isfinite, (lo_a, lo_theta, hi(a), hi(theta), lo(u), hi(u))))
+    and finiteness of the three fields, from their mins and maxes (NaN
+    spreads).  ``rows``, a (3, n) view whose rows are a, u and theta, lets
+    two row-wise reductions read them in place; by default they are stacked."""
+    rows = (a, u, theta) if rows is None else rows
+    lo_a, lo_u, lo_theta = np.minimum.reduce(rows, axis=1).tolist()
+    hi = np.maximum.reduce(rows, axis=1).tolist()
+    finite = all(map(math.isfinite, (lo_a, lo_u, lo_theta, *hi)))
     if finite:
         min_density, min_temperature = 1.0 + lo_a, 1.0 + lo_theta
     else:

@@ -305,6 +305,14 @@ class TestSobolevAccumulator:
         with pytest.raises(ValueError, match="nondecreasing"):
             collector.update(replace(gaussian_state(grid, 1e-2), t=0.5))
 
+    @pytest.mark.parametrize("cells", [80, 120])
+    def test_rejects_a_state_of_another_length(self, cells):
+        # the collector's buffers have the grid's length; the error names both
+        grid = build_grid(10.0, 100)
+        state = gaussian_state(build_grid(10.0, cells), 1e-2)
+        with pytest.raises(ValueError, match=f"state has {cells} cells, grid has 100"):
+            DiagnosticsCollector(grid, 2).update(state)
+
     def test_rejects_bad_order(self):
         grid = build_grid(10.0, 200)
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ may differ from the reference composition: the sign of a NaN born where a
 tendency overflows.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,51 @@ def test_check_fields_gives_the_reference_report(abc):
     assert bits(new.min_temperature) == bits(ref.min_temperature)
 
 
+def six_reduction_check_fields(a, u, theta):
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    lo_a, lo_theta = float(lo(a)), float(lo(theta))
+    finite = all(map(math.isfinite, (lo_a, lo_theta, hi(a), hi(theta), lo(u), hi(u))))
+    if finite:
+        min_density, min_temperature = 1.0 + lo_a, 1.0 + lo_theta
+    else:
+        min_density = min_temperature = float("nan")
+    ok = finite and min_density > 0.0 and min_temperature > 0.0
+    return ValidityReport(
+        ok=ok,
+        min_density=min_density,
+        min_temperature=min_temperature,
+        all_finite=finite,
+    )
+
+
+@st.composite
+def field_rows(draw):
+    """a, u and theta as rows of one aligned block, as a step checks them:
+    finite values with a few special cells, on n cells (often not a
+    multiple of 8, so the rows do not abut)."""
+    n = draw(st.integers(1, 40))
+    rows = integrator._rows(3, n)
+    rows[:] = draw(arrays(float, (3, n), elements=st.floats(-2.0, 2.0)))
+    cells = st.tuples(st.integers(0, 2), st.integers(0, n - 1))
+    special = st.sampled_from(SPECIAL + [-1.0, -1.0, 1.0])
+    for cell in draw(st.lists(cells, max_size=3)):
+        rows[cell] = draw(special)
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(field_rows())
+def test_two_row_reductions_give_the_six_reduction_report(rows):
+    # min(1 + a) reads the same whichever signed zero or NaN a reduction
+    # picks: 1 + -0.0 is 1 + 0.0, and a NaN anywhere reports NaN
+    with np.errstate(all="ignore"):
+        ref = six_reduction_check_fields(*rows)
+        for new in (check_fields(*rows, rows), check_fields(*rows)):
+            assert (new.ok, new.all_finite) == (ref.ok, ref.all_finite)
+            assert bits(new.min_density) == bits(ref.min_density)
+            assert bits(new.min_temperature) == bits(ref.min_temperature)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(3, 40).flatmap(fields),
@@ -136,9 +183,9 @@ def test_a_step_reuses_the_du_dr_of_the_previous_step(monkeypatch):
     # a kappa > 0 step takes 6 derivatives: 1 + 3 in the stages, 2 at the end
     calls = []
 
-    def counted(values, parity, dr):
+    def counted(values, parity, dr, out=None):
         calls.append(values.shape[0])
-        return derivative_array(values, parity, dr)
+        return derivative_array(values, parity, dr, out)
 
     monkeypatch.setattr(integrator, "derivative_array", counted)
     monkeypatch.setattr(dynamics, "derivative_array", counted)
@@ -158,9 +205,9 @@ def test_a_step_and_its_record_take_eleven_derivatives(monkeypatch):
     # takes a'', u'' and theta' .. theta''': 6 + 5 per step after the first
     calls = []
 
-    def counted(values, parity, dr):
+    def counted(values, parity, dr, out=None):
         calls.append(values.shape[0])
-        return derivative_array(values, parity, dr)
+        return derivative_array(values, parity, dr, out)
 
     for module in (integrator, dynamics, diagnostics):
         monkeypatch.setattr(module, "derivative_array", counted)
@@ -195,9 +242,9 @@ def test_conduction_free_run_keeps_its_cfl_step_on_the_window(monkeypatch):
     )
     lengths = []
 
-    def spy(u, theta, dr, cfl):
+    def spy(u, theta, dr, cfl, out=None):
         lengths.append(u.shape[0])
-        return dynamics.cfl_dt_arrays(u, theta, dr, cfl)
+        return dynamics.cfl_dt_arrays(u, theta, dr, cfl, out)
 
     monkeypatch.setattr(integrator, "cfl_dt", spy)
     summary = integrator.run(config)

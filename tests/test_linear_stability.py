@@ -1,17 +1,24 @@
-"""Linear stability of the step about the rest state, by power iteration.
+"""Linear stability of the step about the rest state, by power iteration,
+and of the semi-discrete convection, by the spectrum of its Jacobian.
 
 A state of amplitude 1e-12 evolves linearly to rounding.  Stepping it with
 a fixed dt and scaling it back to max-abs 1e-12 after each step turns the
 growth of its max-abs into the dominant amplification per step.  A stable
-step stays at or below 1.
+step stays at or below 1.  The convective tendency is linear about the rest
+state up to second-order terms, so central differences of it give its
+Jacobian; an energy-stable convection has no eigenvalue with a positive
+real part.  The measured growth marks each of these as a strict xfail: a
+fix at the origin or the wall turns it into a failing XPASS, and must flip it.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from radgas import BACKWARD_EULER, CRANK_NICOLSON, PhysParams, State, build_grid, step
+from radgas.dynamics import convective_rhs
 
 AMPLITUDE = 1e-12
 
@@ -45,3 +52,54 @@ def growth_per_step(kappa, scheme):
 @pytest.mark.parametrize("scheme", [BACKWARD_EULER, CRANK_NICOLSON])
 def test_conduction_step_is_linearly_stable(scheme):
     assert growth_per_step(1.0, scheme) <= 1.0 + 1e-3
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="unfiltered kappa = 0 grows by 1.045 per step (n = 200, seed 0), "
+    "the origin grid mode that breaches criterion 7's run",
+)
+def test_conduction_free_step_is_linearly_stable():
+    assert growth_per_step(0.0, BACKWARD_EULER) <= 1.0 + 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def convective_spectrum(n):
+    """(eigenvalues * dr, share of each eigenvector's weight in the first
+    10 cells, share in the last 10) of the convective Jacobian on r_max = 10."""
+    grid, h, params = build_grid(10.0, n), 1e-7, PhysParams(kappa=0.0)
+    columns = []
+    for j in range(3 * n):
+        e = np.zeros((3, n))
+        e.flat[j] = h
+        plus = np.concatenate(convective_rhs(State(*e, 0.0, params), grid))
+        minus = np.concatenate(convective_rhs(State(*-e, 0.0, params), grid))
+        columns.append((plus - minus) / (2.0 * h))
+    eigenvalues, vectors = np.linalg.eig(np.array(columns).T)
+    weight = (np.abs(vectors.reshape(3, n, -1)) ** 2).sum(axis=0)
+    total = weight.sum(axis=0)
+    origin, wall = weight[:10].sum(axis=0) / total, weight[-10:].sum(axis=0) / total
+    return eigenvalues * grid.dr, origin, wall
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="modes at the origin grow: the largest Re(lambda) * dr is 0.109 at "
+    "n = 100 and 200",
+)
+def test_origin_modes_of_the_convection_do_not_grow():
+    spectra = [convective_spectrum(n) for n in (100, 200)]
+    assert max(s.real[origin > 0.5].max() for s, origin, _ in spectra) <= 1e-10
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="modes at the wall grow: the largest Re(lambda) * dr is 0.156 at "
+    "n = 100 and 0.150 at n = 200",
+)
+def test_wall_modes_of_the_convection_do_not_grow():
+    spectra = [convective_spectrum(n) for n in (100, 200)]
+    assert max(s.real[wall > 0.5].max() for s, _, wall in spectra) <= 1e-10

@@ -92,7 +92,8 @@ def test_the_ladder_sees_a_wrong_origin_ghost(monkeypatch):
     # give u the even origin ghost inside the convective right-hand side
     kernel = dynamics.derivative_array
     monkeypatch.setattr(
-        dynamics, "derivative_array", lambda v, parity, dr: kernel(v, EVEN, dr)
+        dynamics, "derivative_array",
+        lambda v, parity, dr, out=None: kernel(v, EVEN, dr, out),
     )
     with pytest.raises(AssertionError, match="order"):
         assert_order(sup_errors(1.0, CRANK_NICOLSON, 0.0), 1.8)
