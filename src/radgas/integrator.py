@@ -18,12 +18,12 @@ Inside a step the fields stay plain arrays: every stage is checked once on
 its arrays, and the result is a State that owns the final arrays and keeps
 their check, so neither the next step nor the diagnostics check it again.
 
-Finite-propagation window: without conduction the system is symmetric
-hyperbolic, and the explicit update moves data a few cells per step.  A
-step computes every cell of the grid it is given, and run() alone owns the
-window: at kappa = 0 it keeps the state and grid cut to s + _REACH + _SLACK
+Finite-propagation window: a step computes every cell of the grid it is
+given, and run() alone keeps the state and grid cut to s + reach + slack
 cells, s being the support (derivation at _REACH), recuts when data reaches
-the last _REACH cells, and pads for records; with kappa > 0 it never cuts.
+the last reach cells, and pads for records.  With kappa > 0 a windowed step
+counts only if both half-solves certify that the full mesh gives the same
+bytes (certifies_prefix); else run() redoes it on the full mesh, for good.
 
 Both ends of the domain are closed: zero flux at the origin by parity and
 an insulated rigid wall at r_max.  Mass is then conserved to rounding no
@@ -77,6 +77,7 @@ from .state import (
     make_initial_state,
     validate,
 )
+from .tridiag import PREFIX_ROWS, certifies_prefix
 from .tridiag import tridiagonal_matvec, tridiagonal_solve
 
 
@@ -86,6 +87,8 @@ class StepReport:
 
     validity: ValidityReport
     max_abs_du_dr: float
+    #: Whether a longer grid, +0.0 past this one, gives these cells too (run()).
+    certified: bool = True
 
 
 def _check_step_args(dt: float, scheme: str) -> None:
@@ -102,8 +105,8 @@ def _check_step_args(dt: float, scheme: str) -> None:
 def _diffusion_solve_arrays(
     theta_star: np.ndarray, a_frozen: np.ndarray, grid: RadialGrid, dt: float,
     kappa: float, scheme: str, out=None,
-) -> np.ndarray:
-    """Implicit conduction update; returns theta_new.
+) -> tuple[np.ndarray, bool]:
+    """Implicit conduction update; returns theta_new and its certificate.
 
     The rows of M theta = kappa * lap(theta) / (1 + a) are in flux form with
     zero-flux closures at both boundary faces: the origin face by even
@@ -113,12 +116,12 @@ def _diffusion_solve_arrays(
     |upper|) row by row, so it is strictly diagonally dominant whenever
     1 + a > 0 and ``scheme`` is one of DIFFUSION_SCHEMES, which the caller
     guarantees.  Raises ValueError where rounding could lose dominance.
-    ``out`` holds four buffers for the result (apart from theta_star) and
-    the diagonals, which dgtsv overwrites; by default they are new.
+    ``out`` holds five buffers for the result (apart from theta_star), the
+    diagonals, which dgtsv overwrites, and the certificate; by default new.
     """
     # Built in place; each operation keeps its operands, or swaps a
     # product's two factors, so the bits stay the same.
-    rhs, c, m_lower, m_diag = out or [np.empty(theta_star.shape[0]) for _ in range(4)]
+    rhs, c, m_lower, m_diag, tail = out or [np.empty_like(theta_star) for _ in range(5)]
     np.add(1.0, a_frozen, out=c)
     c *= grid.w
     c *= grid.dr
@@ -148,7 +151,16 @@ def _diffusion_solve_arrays(
     m_diag *= weight
     np.subtract(1.0, m_diag, out=m_diag)
     m_upper *= -weight
-    return tridiagonal_solve(m_lower, m_diag, m_upper, rhs, True)
+    k = PREFIX_ROWS
+    if zero_rhs := rhs[-k:].tobytes() == bytes(8 * k):
+        np.copyto(tail[: k - 1], m_lower[1 - k :])  # dgtsv overwrites m_lower
+    x = tridiagonal_solve(m_lower, m_diag, m_upper, rhs, True)
+    # Past a window the data is +0.0: no interchange (a row's lower is below
+    # the upper before it), pivots >= 1, rhs +0.0.  Rows i >= 1 there hold
+    # kappa (A_i + A_i+1) / (w_i dr) <= (15/7) kappa / dr^2, which rounding
+    # keeps below 3 kappa / dr^2; so the window meets the guard as the mesh if:
+    dominant = weight * 3.0 * kappa <= 2.0**48 * grid.dr * grid.dr
+    return x, zero_rhs and dominant and certifies_prefix(tail[: k - 1], m_diag, x)
 
 
 def solve_diffusion(
@@ -173,7 +185,7 @@ def solve_diffusion(
         raise StateValidityError("solve_diffusion requires 1 + a > 0")
     if kappa == 0.0:
         return theta_star.copy()
-    return _diffusion_solve_arrays(theta_star, a, grid, dt, kappa, scheme)
+    return _diffusion_solve_arrays(theta_star, a, grid, dt, kappa, scheme)[0]
 
 
 def _fourth_difference_filter(
@@ -239,6 +251,9 @@ def _fourth_difference_filter(
 _REACH = 6
 #: Spare cells a window may hold past s + _REACH, so run() regrows it rarely.
 _SLACK = 16
+#: Zero cells a kappa > 0 window keeps: PREFIX_ROWS and 24, as a smooth-decay
+#: step after the first widens the support by 15 cells at most (BE: 19).
+_HEAT_REACH = PREFIX_ROWS + 24
 
 
 def _zero_tail(state: State, k: int) -> bool:
@@ -258,9 +273,23 @@ def _support(state: State) -> int:
 
 
 def _crop_grid(grid: RadialGrid, m: int) -> RadialGrid:
-    """The grid of the first m cells, views of the full one's arrays."""
+    """The grid of the first m cells, views of the full one's arrays.  Its
+    scratch is a prefix of the full one's set (as aligned; never used at once)."""
+    if m == grid.n_cells:
+        return grid
+    if not grid.scratch:
+        grid.scratch.append(_scratch(grid.n_cells))
     faces, area = grid.faces[: m + 1], grid.face_area[: m + 1]
-    return RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
+    window = RadialGrid(faces[-1], m, grid.dr, grid.r[:m], faces, grid.w[:m], area)
+    window.scratch.append(_prefix(grid.scratch[-1], grid.n_cells - m))
+    return window
+
+
+def _prefix(group, cut: int):
+    """A scratch set (lists and tuples of arrays) with ``cut`` fewer cells."""
+    if isinstance(group, np.ndarray):
+        return group[..., : group.shape[-1] - cut]
+    return type(group)(_prefix(g, cut) for g in group)
 
 
 def _rows(count: int, n: int) -> np.ndarray:
@@ -285,10 +314,10 @@ def _resize(state: State, m: int, into=None) -> State:
 
 def _scratch(n: int) -> tuple:
     """A step's aligned buffers on an n-cell grid, kernel by kernel (see step)."""
-    cells = [aligned(n) for _ in range(10)]
-    work = (*cells[4:6], aligned(n + 1, 1), *(aligned(n, 1) for _ in range(3)))
+    cells = [aligned(n) for _ in range(10)]  # cells[4]: the certificate, |du/dr|
+    work = (*cells[5:7], aligned(n + 1, 1), *(aligned(n, 1) for _ in range(3)))
     filter_ = (aligned(n + 4, 2), aligned(n + 4), aligned(n + 1))
-    return cells[:4], _rows(3, n), work, cells[6:9], _rows(3, n), cells[9], filter_
+    return cells[:5], _rows(3, n), work, cells[7:], _rows(3, n), cells[4], filter_
 
 
 def step(
@@ -300,9 +329,9 @@ def step(
 ) -> tuple[State, StepReport]:
     """Advance one Strang-split step on every cell of ``grid``; on a
     positivity breach the offending state is returned together with a
-    failing validity report instead of raising.  At kappa = 0 the first m
-    >= _support(state) + _REACH cells of the state and grid (a prefix
-    window) give the first m cells of the full-mesh step and its report.
+    failing validity report instead of raising.  The first m >= _support(state)
+    + _REACH cells of the state and grid (a prefix window) give the first m
+    cells of the full-mesh step and its report, if certified at kappa > 0.
 
     It works in scratch buffers that it takes off ``grid.scratch`` (or
     makes) and puts back, so steps run at once on one grid never share."""
@@ -348,12 +377,12 @@ def step(
         grid.scratch.append(scratch)  # the step is done with its scratch
         da_dr = derivative_array(out[0], EVEN, grid.dr, memo[1])
         new = State._adopt(*out, t, params, report, (grid.dr, du_dr, da_dr, max_du))
-        return new, StepReport(validity=report, max_abs_du_dr=max_du)
+        return new, StepReport(report, max_du, exact)
 
     # First conduction half step (density coefficient frozen at entry).
-    th0 = theta
+    th0, exact, half = theta, True, 0.5 * dt
     if kappa > 0.0:
-        th0 = _diffusion_solve_arrays(theta, a, grid, 0.5 * dt, kappa, scheme, solve)
+        th0, exact = _diffusion_solve_arrays(theta, a, grid, half, kappa, scheme, solve)
         # fl(1 + x) is nondecreasing; a NaN propagates to both ends
         lo, hi = np.minimum.reduce(th0), np.maximum.reduce(th0)
         if not (math.isfinite(hi) and 1.0 + lo > 0.0):
@@ -382,7 +411,8 @@ def step(
 
     # Second conduction half step, frozen at the post-convection density.
     if kappa > 0.0:
-        th2 = _diffusion_solve_arrays(th2, a2, grid, 0.5 * dt, kappa, scheme, solve)
+        th2, second = _diffusion_solve_arrays(th2, a2, grid, half, kappa, scheme, solve)
+        exact = exact and second
 
     if filter_coeff > 0.0:
         into = (*out, *filter_)
@@ -438,8 +468,11 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
     contact_threshold = 1e-4 * config.eps + 1e-300
     record = emit(state)
 
-    n, window_grid = grid.n_cells, grid
-    m = n if config.kappa > 0.0 else _support(state) + _REACH + _SLACK
+    # Zero cells a window keeps, spare cells a recut adds.  At kappa > 0 the
+    # first step takes the full mesh: its solve spreads the data far.
+    n, window_grid, kappa = grid.n_cells, grid, config.kappa
+    reach, slack = (_REACH, _SLACK) if kappa == 0.0 else (_HEAT_REACH, 4 * _SLACK)
+    m = n if kappa > 0.0 else _support(state) + reach + slack
     # The run's own rows for a record's window padded to n cells; the CFL
     # step takes two of them as scratch between records.
     pad = _rows(3, n)
@@ -458,13 +491,12 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
         dt = min(dt, config.t_end - state.t)
         if state.t + dt == state.t:  # validate() bounds the first step only
             raise RuntimeError(f"dt = {dt} no longer advances t = {state.t}")
-        state, step_report = step(
-            state,
-            window_grid,
-            dt,
-            scheme=config.diffusion_scheme,
-            filter_coeff=config.filter_coeff,
-        )
+        args = (dt, config.diffusion_scheme, config.filter_coeff)
+        new, step_report = step(state, window_grid, *args)
+        if not step_report.certified and m < n:  # the full mesh, for good
+            m, window_grid = n, grid
+            new, step_report = step(_resize(state, n), grid, *args)
+        state = new
         steps += 1
         # The shock indicator peaks over every step, not only the records.
         shock = max(peaks["shock_indicator"], step_report.max_abs_du_dr)
@@ -473,8 +505,8 @@ def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:
             reason = "positivity-breach"
             sink.on_breach(_resize(state, n))
             break
-        if m < n and not _zero_tail(state, _REACH):
-            m = _support(state) + _REACH + _SLACK
+        if m < n and not _zero_tail(state, reach) or kappa > 0.0 and steps == 1:
+            m = _support(state) + reach + slack
         if state.a.shape[0] == n and _boundary_contact(state, contact_threshold):
             reason = "boundary-contact"
             record = emit(state)

@@ -3,10 +3,11 @@
 :func:`tridiagonal_solve` is the one LAPACK call site: it takes the three
 diagonals and a finite right-hand side as plain arrays and returns dgtsv's
 solution, its caller vouching for strict diagonal dominance.  The conduction
-half steps call it behind a scalar precondition; :func:`solve_tridiagonal`
-checks a :class:`TridiagonalSystem` row by row first.  ``dgtsv`` is bound
-from ``scipy/linalg/_flapack``, the extension ``scipy.linalg.lapack`` wraps,
-loaded by path: same code, without ``scipy.linalg``'s import (over half the start-up).
+half steps call it behind a scalar precondition (and :func:`certifies_prefix`
+on a window); :func:`solve_tridiagonal` checks a system row by row first.
+``dgtsv`` is bound from ``scipy/linalg/_flapack``, the extension
+``scipy.linalg.lapack`` wraps, loaded by path: same code, without
+``scipy.linalg``'s import (over half the start-up).
 """
 
 from __future__ import annotations
@@ -70,6 +71,33 @@ def tridiagonal_solve(
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
+
+
+#: Rows at the end of a solve that certify it (see certifies_prefix).
+PREFIX_ROWS = 49
+
+
+def certifies_prefix(lower_tail: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> bool:
+    """Whether x, which dgtsv solved in place (``pivots`` is the diag it left)
+    from a right-hand side ending in PREFIX_ROWS +0.0 entries, heads the
+    solution of a longer system with these rows (bar the last one's diag and
+    upper), then rows of +0.0 right-hand side solved without interchanges on
+    positive pivots.  ``lower_tail``: lower[1 - PREFIX_ROWS:] before, overwritten.
+
+    dgtsv sweeps B(i+1) = b(i+1) - fact(i) B(i), fact(i) = fl(DL(i) / D(i)),
+    then x(i) = (B(i) - DU(i) x(i+1)) / D(i).  |fact| <= 1/2 rules out an
+    interchange, so both systems sweep alike to the last row.  x(i) = x(i+1)
+    = +0.0 leaves B(i) = -0.0 or 0 <= B(i) <= D(i) 2**-1075, which is at most
+    2**47 units of 2**-1074 as the conduction's guard keeps D <= 2**48 + 1;
+    b = +0.0 and |fact| <= 1/2 halve B (1 unit rounds to 0), so 48 rows make
+    B +0.0 at the last row and past it, where x is +0.0, so the last row's x
+    is as here.  With |fact| > 1/2, 2**-1074 is a fixed point of the sweep.
+    """
+    k = PREFIX_ROWS
+    if x[-k:].tobytes() != bytes(8 * k):
+        return False
+    fact = np.divide(lower_tail, pivots[-k:-1], out=lower_tail)
+    return float(np.maximum.reduce(np.abs(fact, out=fact))) <= 0.5
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ draws take a horizon of a few hundred first steps, so that they can run.
 
 The second is a differential test of run() against ``reference_run``, the
 full-mesh loop over the pre-kernel step composition.  It is the check on
-run()'s window (cut, recut and padded at kappa = 0) and on the step's
-scratch buffers, which are reused across steps, windows and breaches.
+run()'s window (cut, recut and padded, at kappa = 0 and on certified
+conduction at kappa > 0) and on the step's scratch buffers, which are
+reused across steps, windows and breaches.
 Reference: W. M. McKeeman, "Differential testing for software", Digital
 Technical Journal 10 (1998).
 """
@@ -21,10 +22,11 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from radgas.config import (  # noqa: E402
+    CRANK_NICOLSON,
     DIFFUSION_SCHEMES,
     MAX_FILTER_COEFF,
     ConfigError,
@@ -95,9 +97,12 @@ def test_a_validated_config_runs_to_an_end(config):
 def oracle_configs(draw):
     """The configs of an earlier scratch oracle (120 draws, all equal, none
     breached), a branch of filtered kappa = 0 runs of compact data, which
-    run() keeps on a window, and a coarse branch of large data and large
-    steps, which breaches.  validate() is off, so runs may meet the wall."""
-    branch = draw(st.sampled_from(["plain", "window", "breach"]))
+    run() keeps on a window, a branch of Crank-Nicolson runs whose data is
+    so small that the first conduction solve spreads it over a few hundred
+    cells at most (factors near 0.3), which run() keeps on a window after
+    the first step, and a coarse branch of large data and large steps, which
+    breaches.  validate() is off, so runs may meet the wall."""
+    branch = draw(st.sampled_from(["plain", "window", "conduction", "breach"]))
     eps, cfl = draw(st.floats(0.0, 0.6)), draw(st.floats(0.05, 0.6))
     n_cells = draw(st.integers(8, 159))
     kappa = draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -106,6 +111,10 @@ def oracle_configs(draw):
     r_max, t_end = draw(st.sampled_from([6.0, 8.0, 12.0, 24.0])), draw(st.floats(0.1, 1.5))
     if branch == "window":
         kappa, family, coeff = 0.0, COMPACT_BUMP, draw(st.sampled_from([0.01, 0.05]))
+    elif branch == "conduction":
+        eps = draw(st.one_of(st.just(0.0), st.floats(-1000.0, -700.0).map(lambda e: 2.0**e)))
+        n_cells, kappa = draw(st.integers(200, 400)), draw(st.sampled_from([0.5, 1.0]))
+        cfl, r_max, t_end = draw(st.floats(0.1, 0.3)), 0.1 * n_cells, draw(st.floats(0.1, 0.6))
     elif branch == "breach":
         eps, cfl = draw(st.floats(0.85, 0.95)), draw(st.floats(0.8, 1.0))
         n_cells, kappa = draw(st.integers(16, 60)), draw(st.sampled_from([0.0, 0.5]))
@@ -119,7 +128,9 @@ def oracle_configs(draw):
         init_family=family,
         cfl=cfl,
         output_every=draw(st.integers(1, 6)),
-        diffusion_scheme=draw(st.sampled_from(DIFFUSION_SCHEMES)),
+        diffusion_scheme=(
+            CRANK_NICOLSON if branch == "conduction" else draw(st.sampled_from(DIFFUSION_SCHEMES))
+        ),
         filter_coeff=coeff,
         diag_max_k=draw(st.integers(0, 3)),
     )
@@ -128,12 +139,22 @@ def oracle_configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(oracle_configs(), st.integers(0, integrator._SLACK))
 def test_run_equals_the_reference_loop(config, slack):
-    # the spare cells of a kappa = 0 window set only how often run() recuts
+    # the spare cells of a window set only how often run() recuts
+    cells = []
+    kernel = integrator.step
+
+    def counted(state, grid, *args):
+        cells.append(grid.n_cells)
+        return kernel(state, grid, *args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RunConfig, "validate", lambda self: None)
         patch.setattr(integrator, "_SLACK", slack)
+        patch.setattr(integrator, "step", counted)
         sink = ListSink()
         summary = run(config, sink)
+    if config.kappa > 0.0:
+        event("windowed" if min(cells) < config.n_cells else "full mesh")
     records, steps, reason, peaks, t_final, breached = reference_run(config)
     assert (summary.termination_reason, summary.steps) == (reason, steps)
     assert summary.t_final == t_final

@@ -138,7 +138,7 @@ class TestSolveDiffusion:
         a_frozen = 0.1 * np.cos(grid.r)
         inputs = (theta_star, a_frozen, grid.r, grid.faces, grid.w, grid.face_area)
         kept = [x.tobytes() for x in inputs]
-        out = _diffusion_solve_arrays(theta_star, a_frozen, grid, 0.05, 1.0, scheme)
+        out, _ = _diffusion_solve_arrays(theta_star, a_frozen, grid, 0.05, 1.0, scheme)
         assert [x.tobytes() for x in inputs] == kept
         assert not any(np.shares_memory(out, x) for x in inputs)
 

@@ -230,19 +230,24 @@ def address(x):
     return x.__array_interface__["data"][0]
 
 
+@pytest.mark.parametrize("window", [False, True])
 @pytest.mark.parametrize("n", [1000, 1920, 2800, 4000])
 @pytest.mark.parametrize(
     "kappa, scheme, coeff",
     [(1.0, CRANK_NICOLSON, 0.01), (1.0, BACKWARD_EULER, 0.0), (0.0, BACKWARD_EULER, 0.01)],
 )
 def test_every_pass_of_a_step_writes_aligned_scratch_or_result(
-    n, kappa, scheme, coeff, monkeypatch
+    n, kappa, scheme, coeff, window, monkeypatch
 ):
     # A pass that lost its out= would write a new array: outside the
     # scratch and the result, and three times in four off a 64-byte line.
     # The derivatives write the scratch, and the result's du/dr and da/dr.
+    # A window's scratch is a prefix of its grid's set, as run() cuts it.
     grid = build_grid(100.0, n)
     [state] = march(smooth(grid, kappa=kappa, eps=1e-3), grid, 1, scheme, coeff)
+    if window:
+        m = min(n - 1, integrator._support(state) + 100)
+        state, grid = integrator._resize(state, m), integrator._crop_grid(grid, m)
     dt, log = cfl_dt(state, grid, 0.3), []
     for module in (integrator, dynamics, tridiag, operators):
         monkeypatch.setattr(module, "np", WriteLog(log))
@@ -262,6 +267,34 @@ def test_every_pass_of_a_step_writes_aligned_scratch_or_result(
         assert address(f) % 64 == 0
     assert address(new._derivs[1][1:]) % 64 == 0
     assert address(new._derivs[2][1:]) % 64 == 0
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_a_run_makes_one_scratch_set_for_all_its_windows(monkeypatch, kappa):
+    # every window's scratch is a prefix of the full grid's set, so a run
+    # that recuts its window again and again makes one set
+    calls, widths = [], []
+    make, kernel = integrator._scratch, integrator.step
+
+    def counted_scratch(n):
+        calls.append(n)
+        return make(n)
+
+    def counted_step(state, grid, *args):
+        widths.append(grid.n_cells)
+        return kernel(state, grid, *args)
+
+    monkeypatch.setattr(integrator, "_scratch", counted_scratch)
+    monkeypatch.setattr(integrator, "step", counted_step)
+    config = RunConfig(
+        eps=1e-3, kappa=kappa, r_max=50.0, n_cells=2000, t_end=0.6, output_every=5,
+        diffusion_scheme=CRANK_NICOLSON, filter_coeff=0.01,
+    )
+    summary = integrator.run(config)
+    assert summary.termination_reason == "time-complete"
+    assert calls == [config.n_cells]
+    windows = [w for i, w in enumerate(widths) if w < config.n_cells and w != widths[i - 1]]
+    assert len(windows) >= 3 and len(widths) == summary.steps  # two recuts or more
 
 
 def test_a_record_writes_only_aligned_collector_buffers(monkeypatch):
@@ -337,12 +370,13 @@ def test_a_kappa0_run_allocates_a_result_block_per_step_and_nothing_else(
         return blocks, tracemalloc.get_traced_memory()[0]
 
     kernel, update, records = integrator.step, DiagnosticsCollector.update, []
+    grids = [None]
 
     def traced_step(state, grid, *args, **kwargs):
         cells = state.a.shape[0]
-        if not grid.scratch:  # a recut: a new window, whose first step makes scratch
+        if grid is not grids[-1]:  # a recut, which pads the state into a new block
+            grids.append(grid)
             mark.clear()
-            return kernel(state, grid, *args, **kwargs)
         if mark:
             gaps.append((*since(mark.pop()[1]), cells, len(records)))
         start = restart()

@@ -1,12 +1,17 @@
-"""The finite-propagation window of a conduction-free run.
+"""The finite-propagation window of a run.
 
-A step computes every cell of the grid it is given; run() alone cuts a
-kappa = 0 run to a prefix window and pads it back for records.  Stepped on
-the first s + _REACH cells, s being one past the last cell of its input that
-is not +0.0, a step must give the bytes of the full-mesh composition in
+A step computes every cell of the grid it is given; run() alone cuts a run
+to a prefix window and pads it back for records.  Stepped on the first s +
+_REACH cells, s being one past the last cell of its input that is not +0.0,
+a conduction-free step must give the bytes of the full-mesh composition in
 ``tests/test_step_reference.py``, breach path included.  The window must be
-exactly that wide: one cell narrower gives other bytes.  run() keeps the
-kernels on the window at kappa = 0 and on the full mesh at kappa > 0.
+exactly that wide: one cell narrower gives other bytes.  With conduction a
+windowed step counts only if both half-solves certify that the full mesh
+gives the same bytes (``tests/test_prefix_certificate.py``).  run() takes
+the first step of a kappa > 0 run on the full mesh, because that solve
+spreads the initial data hundreds of cells, then keeps the kernels on a
+window; a step whose certificate declines (a factor above 1/2, as backward
+Euler has on a fine mesh) is redone on the full mesh, which the run keeps.
 """
 
 import numpy as np
@@ -137,11 +142,13 @@ def spy_kernels(monkeypatch):
     return lengths
 
 
-def window_config(kappa):
-    return RunConfig(
-        eps=1e-3, kappa=kappa, r_max=24.0, n_cells=240, t_end=0.5,
-        init_family="compact-bump", output_every=5, filter_coeff=0.01,
-    )
+def window_config(kappa, **values):
+    # the first conduction solve spreads data of 1e-3 over about 800 cells
+    return RunConfig(**{
+        **dict(eps=1e-3, kappa=kappa, r_max=240.0, n_cells=2400, t_end=0.5,
+               init_family="compact-bump", output_every=5, filter_coeff=0.01),
+        **values,
+    })
 
 
 @pytest.mark.parametrize("slack", range(5))
@@ -161,18 +168,36 @@ def test_run_bytes_do_not_depend_on_the_slack(monkeypatch, slack):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_run_keeps_the_kernels_on_the_window(monkeypatch, kappa):
-    # kappa = 0: the support stays far from the wall, so every step between
-    # the records runs on a prefix window; kappa > 0: the implicit
-    # half-solve reaches every cell, so the kernels see the full mesh
+    # the support stays far from the wall, so every step runs on a prefix
+    # window; at kappa > 0 every step after the first, whose conduction
+    # solve spreads the data, and its solves certify every windowed step
     lengths = spy_kernels(monkeypatch)
     config = window_config(kappa)
     summary = integrator.run(config)
     assert summary.termination_reason == "time-complete"
-    assert len(lengths) == 3 * summary.steps > 0
-    if kappa == 0.0:
-        assert max(lengths) < config.n_cells
-    else:
-        assert set(lengths) == {config.n_cells}
+    assert len(lengths) == 3 * summary.steps > 3
+    first = 3 if kappa > 0.0 else 0
+    assert lengths[:first] == [config.n_cells] * first
+    assert max(lengths[first:]) < config.n_cells
+
+
+def test_a_declined_window_leaves_the_full_mesh_for_good(monkeypatch):
+    # backward Euler at this cell width has tail factors of 0.59: the
+    # second step, on the window cut after the first, cannot certify its
+    # solves and is redone on the full mesh, where the run stays; its bytes
+    # are the full-mesh reference loop's
+    lengths = spy_kernels(monkeypatch)
+    config = window_config(1.0, r_max=60.0, diffusion_scheme=BACKWARD_EULER)
+    sink = ListSink()
+    summary = integrator.run(config, sink)
+    n = config.n_cells
+    assert len(lengths) == 3 * summary.steps + 3
+    assert [cells < n for cells in lengths[:9]] == [False] * 3 + [True] * 3 + [False] * 3
+    assert set(lengths[6:]) == {n}
+    records, steps, reason, peaks, t_final, _ = reference_run(config)
+    assert (summary.termination_reason, summary.steps) == (reason, steps)
+    assert (summary.t_final, summary.peaks) == (t_final, peaks)
+    assert sink.records == records
 
 
 def test_step_computes_every_cell_it_is_given(monkeypatch):
