@@ -98,10 +98,11 @@ def oracle_configs(draw):
     """The configs of an earlier scratch oracle (120 draws, all equal, none
     breached), a branch of filtered kappa = 0 runs of compact data, which
     run() keeps on a window, a branch of Crank-Nicolson runs whose data is
-    so small that the first conduction solve spreads it over a few hundred
-    cells at most (factors near 0.3), which run() keeps on a window after
-    the first step, and a coarse branch of large data and large steps, which
-    breaches.  validate() is off, so runs may meet the wall."""
+    so small (down to subnormal) that the first conduction solve spreads it
+    over about a hundred cells at most (factors near 0.3), which run() keeps
+    on a window after the first step, and a coarse branch of large data and
+    large steps, which breaches.  validate() is off, so runs may meet the
+    wall."""
     branch = draw(st.sampled_from(["plain", "window", "conduction", "breach"]))
     eps, cfl = draw(st.floats(0.0, 0.6)), draw(st.floats(0.05, 0.6))
     n_cells = draw(st.integers(8, 159))
@@ -112,13 +113,16 @@ def oracle_configs(draw):
     if branch == "window":
         kappa, family, coeff = 0.0, COMPACT_BUMP, draw(st.sampled_from([0.01, 0.05]))
     elif branch == "conduction":
-        eps = draw(st.one_of(st.just(0.0), st.floats(-1000.0, -700.0).map(lambda e: 2.0**e)))
-        n_cells, kappa = draw(st.integers(200, 400)), draw(st.sampled_from([0.5, 1.0]))
-        cfl, r_max, t_end = draw(st.floats(0.1, 0.3)), 0.1 * n_cells, draw(st.floats(0.1, 0.6))
+        tiny = st.floats(-1070.0, -850.0).map(lambda e: 2.0**e)
+        eps = draw(st.one_of(st.just(0.0), tiny))
+        n_cells, kappa = draw(st.integers(240, 400)), draw(st.sampled_from([0.5, 1.0]))
+        cfl, t_end = draw(st.floats(0.1, 0.3)), draw(st.floats(0.1, 0.6))
+        r_max = 0.1 * n_cells
     elif branch == "breach":
         eps, cfl = draw(st.floats(0.85, 0.95)), draw(st.floats(0.8, 1.0))
         n_cells, kappa = draw(st.integers(16, 60)), draw(st.sampled_from([0.0, 0.5]))
         family, coeff, r_max, t_end = GAUSSIAN_BUMP, 0.0, 24.0, draw(st.floats(3.0, 6.0))
+    schemes = [CRANK_NICOLSON] if branch == "conduction" else DIFFUSION_SCHEMES
     return RunConfig(
         eps=eps,
         kappa=kappa,
@@ -128,9 +132,7 @@ def oracle_configs(draw):
         init_family=family,
         cfl=cfl,
         output_every=draw(st.integers(1, 6)),
-        diffusion_scheme=(
-            CRANK_NICOLSON if branch == "conduction" else draw(st.sampled_from(DIFFUSION_SCHEMES))
-        ),
+        diffusion_scheme=draw(st.sampled_from(schemes)),
         filter_coeff=coeff,
         diag_max_k=draw(st.integers(0, 3)),
     )

@@ -24,7 +24,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from radgas.tridiag import PREFIX_ROWS, certifies_prefix, tridiagonal_solve  # noqa: E402
+from radgas.tridiag import (  # noqa: E402
+    PREFIX_ROWS,
+    certifies_prefix,
+    tridiagonal_solve,
+)
 
 TINY = 5e-324
 

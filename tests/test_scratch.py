@@ -293,7 +293,8 @@ def test_a_run_makes_one_scratch_set_for_all_its_windows(monkeypatch, kappa):
     summary = integrator.run(config)
     assert summary.termination_reason == "time-complete"
     assert calls == [config.n_cells]
-    windows = [w for i, w in enumerate(widths) if w < config.n_cells and w != widths[i - 1]]
+    n = config.n_cells
+    windows = [w for i, w in enumerate(widths) if n > w != widths[i - 1]]
     assert len(windows) >= 3 and len(widths) == summary.steps  # two recuts or more
 
 

@@ -168,9 +168,9 @@ def test_run_bytes_do_not_depend_on_the_slack(monkeypatch, slack):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 def test_run_keeps_the_kernels_on_the_window(monkeypatch, kappa):
-    # the support stays far from the wall, so every step runs on a prefix
-    # window; at kappa > 0 every step after the first, whose conduction
-    # solve spreads the data, and its solves certify every windowed step
+    # the support stays far from the wall, so the steps run on a prefix
+    # window: at kappa > 0 every step after the first, whose conduction
+    # solve spreads the data, and the windowed steps' solves certify them
     lengths = spy_kernels(monkeypatch)
     config = window_config(kappa)
     summary = integrator.run(config)
@@ -192,7 +192,8 @@ def test_a_declined_window_leaves_the_full_mesh_for_good(monkeypatch):
     summary = integrator.run(config, sink)
     n = config.n_cells
     assert len(lengths) == 3 * summary.steps + 3
-    assert [cells < n for cells in lengths[:9]] == [False] * 3 + [True] * 3 + [False] * 3
+    windowed = [cells < n for cells in lengths[:9]]
+    assert windowed == [False] * 3 + [True] * 3 + [False] * 3
     assert set(lengths[6:]) == {n}
     records, steps, reason, peaks, t_final, _ = reference_run(config)
     assert (summary.termination_reason, summary.steps) == (reason, steps)
