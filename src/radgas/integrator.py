@@ -265,6 +265,8 @@ def _zero_tail(state: State, k: int) -> bool:
 def _support(state: State) -> int:
     """One past the last cell where a, u or theta is not +0.0 (NaN, inf and
     -0.0 are data: the update keeps +0.0 cells bitwise, not every -0.0)."""
+    if not _zero_tail(state, 1):
+        return state.a.shape[0]
     bits = state.a.view(np.uint64) | state.u.view(np.uint64)
     bits |= state.theta.view(np.uint64)
     nonzero = (bits != 0)[::-1]

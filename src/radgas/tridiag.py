@@ -5,31 +5,39 @@ diagonals and a finite right-hand side as plain arrays and returns dgtsv's
 solution, its caller vouching for strict diagonal dominance.  The conduction
 half steps call it behind a scalar precondition (and :func:`certifies_prefix`
 on a window); :func:`solve_tridiagonal` checks a system row by row first.
-``dgtsv`` is bound from ``scipy/linalg/_flapack``, the extension
-``scipy.linalg.lapack`` wraps, loaded by path: same code, without
-``scipy.linalg``'s import (over half the start-up).
+``dgtsv`` is scipy's own, from ``scipy/linalg/_flapack``, found without importing
+scipy and bound at the first solve, so a kappa = 0 run loads no LAPACK at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
+from threading import Lock
 
 import numpy as np
-import scipy
 
 
 def _load_flapack(directory: str | Path):
     """scipy's ``_flapack`` from ``directory``, loaded under its scipy module name."""
     path = Path(directory, "_flapack" + EXTENSION_SUFFIXES[0])
     if not path.is_file():
-        raise ImportError(f"no {path.name} in {directory} (scipy {scipy.__version__})")
+        from importlib.metadata import version  # only on this error path
+        raise ImportError(f"no {path.name} in {directory} (scipy {version('scipy')})")
     return module_from_spec(spec_from_file_location("scipy.linalg._flapack", path))
 
 
-dgtsv = _load_flapack(Path(scipy.__file__).parent / "linalg").dgtsv
+def __getattr__(name: str, _lock=Lock()):
+    """``dgtsv``, bound once on first use: threads that race here wait for one load."""
+    if name != "dgtsv":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    with _lock:
+        if name not in globals():
+            scipy_dir = find_spec("scipy").submodule_search_locations[0]
+            globals()[name] = _load_flapack(Path(scipy_dir, "linalg")).dgtsv
+    return globals()[name]
 
 
 def tridiagonal_matvec(
@@ -56,8 +64,7 @@ def tridiagonal_solve(
     it, so the solution is bitwise equal to that route.  With ``overwrite``,
     dgtsv factors and solves in the four arrays; a read-only one raises ValueError.
     """
-    if overwrite and not (lower.flags.writeable and diag.flags.writeable
-                          and upper.flags.writeable and rhs.flags.writeable):
+    if overwrite and not all(a.flags.writeable for a in (lower, diag, upper, rhs)):
         raise ValueError("overwrite=True needs writeable arrays")
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -65,7 +72,8 @@ def tridiagonal_solve(
         x = rhs / diag
     else:
         flags = [int(overwrite)] * 4  # f2py overwrites even a read-only array
-        _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs, *flags)
+        gtsv = globals().get("dgtsv") or __getattr__("dgtsv")
+        _, _, _, x, info = gtsv(lower[1:], diag, upper[:-1], rhs, *flags)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
