@@ -5,8 +5,8 @@ diagonals and a finite right-hand side as plain arrays and returns dgtsv's
 solution, its caller vouching for strict diagonal dominance.  The conduction
 half steps call it behind a scalar precondition (and :func:`certifies_prefix`
 on a window); :func:`solve_tridiagonal` checks a system row by row first.
-``dgtsv`` is scipy's own, from ``scipy/linalg/_flapack``, found without importing
-scipy and bound at the first solve, so a kappa = 0 run loads no LAPACK at all.
+``dgtsv`` is scipy's own, from ``scipy/linalg/_flapack``, bound at the first solve
+without importing scipy, so a kappa = 0 run loads neither scipy nor its LAPACK.
 """
 
 from __future__ import annotations

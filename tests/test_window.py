@@ -14,6 +14,8 @@ window; a step whose certificate declines (a factor above 1/2, as backward
 Euler has on a fine mesh) is redone on the full mesh, which the run keeps.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,39 @@ def test_window_steps_equal_full_mesh(grid_state, scheme, coeff, cfl, steps):
         assert report_bytes(report) == report_bytes(ref_report)
         if not report.validity.ok:
             break
+
+
+@st.composite
+def tailed_states(draw):
+    """A State whose fields each end in their own run of +0.0 cells (maybe
+    none, maybe all), before which they hold any floats, -0.0, NaN and
+    subnormals included."""
+    n = draw(st.integers(1, 40))
+    values = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 2.0**-1030]),
+    )
+    a, u, theta = (
+        np.concatenate((draw(arrays(float, s, elements=values)), np.zeros(n - s)))
+        for s in draw(st.lists(st.integers(0, n), min_size=3, max_size=3))
+    )
+    return State(a=a, u=u, theta=theta, t=0.0, params=PhysParams(kappa=0.0))
+
+
+def support_reference(state):
+    """One past the last index where a, u or theta has nonzero bits."""
+    end = 0
+    for i in range(state.a.shape[0]):
+        cells = (float(f[i]) for f in (state.a, state.u, state.theta))
+        if any(struct.pack("<d", x) != bytes(8) for x in cells):
+            end = i + 1
+    return end
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_states())
+def test_support_is_one_past_the_last_nonzero_bits(state):
+    assert integrator._support(state) == support_reference(state)
 
 
 def compact_state(n, s, kappa):
