@@ -190,7 +190,7 @@ def solve_diffusion(
 
 def _fourth_difference_filter(
     a: np.ndarray, u: np.ndarray, theta: np.ndarray, grid: RadialGrid, coeff: float,
-    out=None,
+    out,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damp odd-even oscillations with a fourth-difference smoother.
 
@@ -201,11 +201,9 @@ def _fourth_difference_filter(
     outermost cells where the stencil would need wall ghosts.
     Stability requires coeff <= 1/16.  ``out`` holds six buffers, apart
     from the inputs: the results, then scratch of n + 4, n + 4 and n + 1
-    cells; by default they are new.
+    cells.
     """
     n = grid.n_cells
-    if out is None:
-        out = [np.empty(k) for k in (n, n, n, n + 4, n + 4, n + 1)]
     a_new, u_new, theta_new, g, gk, third = out
     g[-2:] = 0.0  # past the wall; the first two cells take ghosts by parity
 
@@ -258,20 +256,18 @@ _HEAT_REACH = PREFIX_ROWS + 24
 
 def _zero_tail(state: State, k: int) -> bool:
     """Whether a, u and theta all end in k cells of +0.0 (bitwise)."""
-    a, u, theta = (f[-k:].tobytes() for f in (state.a, state.u, state.theta))
-    return a == u == theta == bytes(8 * k)
+    return state.rows[:, -k:].tobytes() == bytes(24 * k)
 
 
 def _support(state: State) -> int:
     """One past the last cell where a, u or theta is not +0.0 (NaN, inf and
     -0.0 are data: the update keeps +0.0 cells bitwise, not every -0.0)."""
+    rows = state.rows
     if not _zero_tail(state, 1):
-        return state.a.shape[0]
-    bits = state.a.view(np.uint64) | state.u.view(np.uint64)
-    bits |= state.theta.view(np.uint64)
-    nonzero = (bits != 0)[::-1]
+        return rows.shape[1]
+    nonzero = (np.bitwise_or.reduce(rows.view(np.uint64)) != 0)[::-1]
     last = int(nonzero.argmax())
-    return bits.shape[0] - last if nonzero[last] else 0
+    return rows.shape[1] - last if nonzero[last] else 0
 
 
 def _crop_grid(grid: RadialGrid, m: int) -> RadialGrid:
@@ -305,13 +301,12 @@ def _resize(state: State, m: int, into=None) -> State:
     """The state cut or padded with +0.0 to m cells, in the rows of ``into``
     or of a new block.  It keeps its check, which +0.0 cells at its end
     (_REACH) do not change."""
-    width = state.a.shape[0]
+    width = state.rows.shape[1]
     if m == width:
         return state
     rows = _rows(3, m) if into is None else into
-    for row, f in zip(rows, (state.a, state.u, state.theta)):
-        row[:width], row[width:] = f[:m], 0.0
-    return State._adopt(*rows, state.t, state.params, state._validity)
+    rows[:, :width], rows[:, width:] = state.rows[:, :m], 0.0
+    return State._adopt(rows, state.t, state.params, state._validity)
 
 
 def _scratch(n: int) -> tuple:
@@ -319,7 +314,7 @@ def _scratch(n: int) -> tuple:
     cells = [aligned(n) for _ in range(10)]  # cells[4]: the certificate, |du/dr|
     work = (*cells[5:7], aligned(n + 1, 1), *(aligned(n, 1) for _ in range(3)))
     filter_ = (aligned(n + 4, 2), aligned(n + 4), aligned(n + 1))
-    return cells[:5], _rows(3, n), work, cells[7:], _rows(3, n), cells[4], filter_
+    return cells[:5], _rows(3, n), work, cells[7:], cells[4], filter_
 
 
 def step(
@@ -351,7 +346,7 @@ def step(
         scratch = grid.scratch.pop()
     except IndexError:
         scratch = _scratch(n)
-    solve, rows1, work, results2, sums, abs_du, filter_ = scratch
+    solve, rows1, work, results2, abs_du, filter_ = scratch
 
     kappa = state.params.kappa
     a, u, theta = state.a, state.u, state.theta
@@ -372,13 +367,13 @@ def step(
             if f is not g:  # a breach, or theta from the second solve
                 np.copyto(f, g)
         if report is None:
-            report = check_fields(*out, rows)
+            report = check_fields(rows)
         du_dr = derivative_array(out[1], ODD, grid.dr, memo[0])
         t, params = state.t + dt, state.params
         max_du = float(np.maximum.reduce(np.abs(du_dr, out=abs_du)))
         grid.scratch.append(scratch)  # the step is done with its scratch
         da_dr = derivative_array(out[0], EVEN, grid.dr, memo[1])
-        new = State._adopt(*out, t, params, report, (grid.dr, du_dr, da_dr, max_du))
+        new = State._adopt(rows, t, params, report, (grid.dr, du_dr, da_dr, max_du))
         return new, StepReport(report, max_du, exact)
 
     # First conduction half step (density coefficient frozen at entry).
@@ -395,19 +390,20 @@ def step(
     a1, u1, th1 = convective_rhs(a, u, th0, grid, du, da, (*rows1, *work))
     for f, f1 in zip((a, u, th0), (a1, u1, th1)):
         np.subtract(f, np.multiply(f1, dt, out=f1), out=f1)
-    validity = check_fields(a1, u1, th1, rows1)
+    validity = check_fields(rows1)
     if not validity.ok:
         return finish((a1, u1, th1), validity)
 
-    # Stage 2: average with a forward-Euler step from stage 1; with no filter
-    # it writes the result's rows (finish copies the second solve's theta in).
-    last, last_rows = (out, rows) if filter_coeff == 0.0 else (tuple(sums), sums)
-    a2, u2, th2 = map(np.add, (a, u, th0), (a1, u1, th1), last)
+    # Stage 2: average with a forward-Euler step from stage 1.  With no filter
+    # it writes the result's rows (finish copies the second solve's theta in),
+    # else stage 1's, once its right-hand side has read them.
     rhs2 = convective_rhs(a1, u1, th1, grid, None, None, (*results2, *work))
+    last, last_rows = (out, rows) if filter_coeff == 0.0 else ((a1, u1, th1), rows1)
+    a2, u2, th2 = map(np.add, (a, u, th0), (a1, u1, th1), last)
     for f, r in zip((a2, u2, th2), rhs2):
         f -= np.multiply(r, dt, out=r)
         f *= 0.5
-    validity = check_fields(a2, u2, th2, last_rows)
+    validity = check_fields(last_rows)
     if not validity.ok:
         return finish((a2, u2, th2), validity)
 
@@ -432,9 +428,8 @@ def _boundary_contact(state: State, threshold: float) -> bool:
     # floats instead of paying for three numpy reductions.  `>` and `>=`
     # differ only when a band value equals the threshold exactly, so no test
     # tells them apart: the threshold only has to sit far below the front.
-    band = slice(-_GUARD_CELLS, None)
-    values = state.a[band].tolist() + state.u[band].tolist()
-    return max(map(abs, values + state.theta[band].tolist())) > threshold
+    values = state.rows[:, -_GUARD_CELLS:].ravel().tolist()
+    return max(map(abs, values)) > threshold
 
 
 def run(config: RunConfig, sink: DiagnosticsSink | None = None) -> RunSummary:

@@ -8,7 +8,7 @@ extend evenly across the origin while u extends oddly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class State:
-    """Immutable snapshot of the three perturbation fields at time t.
+    """Immutable snapshot of the three perturbation fields at time t: a, u
+    and theta are the row views of one read-only (3, n) array, ``rows``.
 
     Construction only enforces shape and finite dtype handling; positivity
     of 1 + a and 1 + theta is reported by :func:`validate` so that a breached
@@ -74,34 +75,34 @@ class State:
     theta: np.ndarray
     t: float
     params: PhysParams
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
     # Memos set through vars(), not fields: the validity report, and (dr, du/dr,
     # da/dr, max |du/dr|) at width dr, which only the step sets; records read it.
     _validity = None
     _derivs = (None, None, None, None)
 
     def __post_init__(self) -> None:
-        for name in ("a", "u", "theta"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D array, got ndim={arr.ndim}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.u.shape != self.a.shape or self.theta.shape != self.a.shape:
+        a, u, theta = (np.asarray(f, dtype=float) for f in (self.a, self.u, self.theta))
+        if a.ndim != 1 or u.shape != a.shape or theta.shape != a.shape:
             raise ValueError(
-                "field shapes differ: "
-                f"a={self.a.shape}, u={self.u.shape}, theta={self.theta.shape}"
+                "a, u and theta must be 1-D arrays of one shape, got "
+                f"a={a.shape}, u={u.shape}, theta={theta.shape}"
             )
+        self._lock(np.stack((a, u, theta)))
         object.__setattr__(self, "t", float(self.t))
 
+    def _lock(self, rows: np.ndarray) -> None:
+        rows.setflags(write=False)
+        vars(self).update(rows=rows, a=rows[0], u=rows[1], theta=rows[2])
+
     @classmethod
-    def _adopt(cls, a, u, theta, t, params, validity, derivs=_derivs) -> State:
-        """The step kernel's result: its arrays locked, not copied, and checked."""
-        for arr in (a, u, theta):
-            arr.setflags(write=False)
-        state = object.__new__(cls)
-        vars(state).update(a=a, u=u, theta=theta, t=float(t), params=params)
-        vars(state).update(_validity=validity, _derivs=derivs)
-        return state
+    def _adopt(cls, rows, t, params, validity, derivs=_derivs) -> State:
+        """The step kernel's result: a view of its (3, n) rows locked, not
+        copied (the caller may write the rows again), and checked."""
+        new = object.__new__(cls)
+        vars(new).update(t=float(t), params=params, _validity=validity, _derivs=derivs)
+        new._lock(rows[:])
+        return new
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,10 @@ class ValidityReport:
     all_finite: bool
 
 
-def check_fields(a, u, theta, rows=None) -> ValidityReport:
+def check_fields(rows: np.ndarray) -> ValidityReport:
     """Array kernel of :func:`validate`: positivity of 1 + a and 1 + theta
-    and finiteness of the three fields, from their mins and maxes (NaN
-    spreads).  ``rows``, a (3, n) view whose rows are a, u and theta, lets
-    two row-wise reductions read them in place; by default they are stacked."""
-    rows = (a, u, theta) if rows is None else rows
+    and finiteness of the three fields, from two row-wise reductions of
+    ``rows``, a (3, n) array whose rows are a, u and theta (NaN spreads)."""
     lo_a, lo_u, lo_theta = np.minimum.reduce(rows, axis=1).tolist()
     hi = np.maximum.reduce(rows, axis=1).tolist()
     finite = all(map(math.isfinite, (lo_a, lo_u, lo_theta, *hi)))
@@ -142,7 +141,7 @@ def check_fields(a, u, theta, rows=None) -> ValidityReport:
 def validate(state: State) -> ValidityReport:
     """Check positivity of density and temperature and finiteness, once per state."""
     if state._validity is None:
-        vars(state)["_validity"] = check_fields(state.a, state.u, state.theta)
+        vars(state)["_validity"] = check_fields(state.rows)
     return state._validity
 
 

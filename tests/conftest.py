@@ -1,14 +1,19 @@
 import re
 
+import pytest
+
 _CRITERION = re.compile(r"test_acceptance\.py::(?:\w+::)*test_criterion_(\d+)")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print one PASS/FAIL line per acceptance criterion that was collected."""
+    """Print one PASS/FAIL line per acceptance criterion that ran."""
     outcomes: dict[int, bool] = {}
     for status, reports in terminalreporter.stats.items():
         for report in reports:
-            match = _CRITERION.search(getattr(report, "nodeid", "") or "")
+            # stats also lists deselected items, which did not run
+            if not isinstance(report, pytest.TestReport):
+                continue
+            match = _CRITERION.search(report.nodeid)
             if not match:
                 continue
             number = int(match.group(1))

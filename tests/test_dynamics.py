@@ -104,6 +104,29 @@ def test_symmetric_system_normal_speeds():
         np.testing.assert_allclose(gen.imag, 0.0, atol=1e-10)
 
 
+def test_symmetric_system_source_and_rejected_points():
+    # F = (0, (1 + a) grad theta), zero when grad theta is not given
+    u_vec = np.array([0.1, -0.2, 0.3])
+    sys = assemble_sym_system(0.25, u_vec, -0.5, grad_theta=[1.0, -2.0, 0.5])
+    np.testing.assert_array_equal(sys.f, [0.0, 1.25, -2.5, 0.625])
+    np.testing.assert_array_equal(assemble_sym_system(0.25, u_vec, -0.5).f, np.zeros(4))
+    for a, th in [(-1.0, 0.0), (0.0, -1.0), (-2.0, 0.5)]:
+        with pytest.raises(ValueError, match="outside the valid regime"):
+            assemble_sym_system(a, u_vec, th)
+    with pytest.raises(ValueError, match="u_vec must have shape"):
+        assemble_sym_system(0.0, np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="grad_theta must have shape"):
+        assemble_sym_system(0.0, u_vec, 0.0, grad_theta=np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "a, theta", [(-1.0, 0.0), (0.0, -1.0), (np.array([0.0, -1.5]), np.zeros(2))]
+)
+def test_characteristic_speeds_reject_points_outside_the_valid_regime(a, theta):
+    with pytest.raises(ValueError, match="outside the valid regime"):
+        characteristic_speeds(a, 0.0, theta)
+
+
 def test_convective_rhs_on_linear_fields():
     # a = 0, theta = 0, u = r:  da/dt = -3, du/dt = -r, dtheta/dt = -3.
     # Exact in every cell except the outermost, where the wall closure of
@@ -167,6 +190,12 @@ def test_cfl_dt():
         cfl_dt(quiet, g, 0.0)
     with pytest.raises(ValueError):
         cfl_dt(quiet, g, 1.5)
+
+    breached = State(
+        a=np.full(n, -1.5), u=np.zeros(n), theta=np.zeros(n), t=0.0, params=PhysParams()
+    )
+    with pytest.raises(StateValidityError):
+        cfl_dt(breached, g, 0.5)
 
 
 def test_speeds_shape_consistency():

@@ -100,7 +100,9 @@ def test_flux_divergence_weighted_sum_vanishes(profile):
 def test_filter_density_update_weighted_sum_vanishes(profile, coeff):
     grid, a = profile
     zero = np.zeros_like(a)
-    a_new, _, _ = _fourth_difference_filter(a, zero, zero, grid, coeff)
+    n = grid.n_cells
+    out = [np.empty(k) for k in (n, n, n, n + 4, n + 4, n + 1)]
+    a_new, _, _ = _fourth_difference_filter(a, zero, zero, grid, coeff, out)
     terms = grid.w * (a_new - a)
     bound = 64 * EPS * (
         float(np.sum(np.abs(terms))) + float(grid.w @ np.abs(a))

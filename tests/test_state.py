@@ -113,6 +113,32 @@ def test_state_shape_mismatch(grid):
     a = np.zeros(grid.n_cells)
     with pytest.raises(ValueError):
         State(a=a, u=np.zeros(3), theta=a, t=0.0, params=PhysParams())
+    for field in (np.zeros((2, 3)), np.float64(0.0)):  # of one shape, not 1-D
+        with pytest.raises(ValueError, match="1-D"):
+            State(a=field, u=field, theta=field, t=0.0, params=PhysParams())
+
+
+@pytest.mark.parametrize("kappa, filter_coeff", [(1.0, 0.0), (0.0, 0.01)])
+def test_every_state_is_the_read_only_rows_of_one_array(kappa, filter_coeff):
+    # built by the constructor, stepped (unfiltered stage 2 writes the
+    # result's rows, filtered stage 2 its stage-1 rows), cut and padded
+    grid = build_grid(20.0, 400)
+    n = grid.n_cells
+    built = make_initial_state(grid, GAUSSIAN_BUMP, 1e-3, PhysParams(kappa=kappa))
+    stepped, _ = step(built, grid, dt=0.01, filter_coeff=filter_coeff)
+    cut = integrator._resize(stepped, n - 100)
+    pad = integrator._rows(3, n)
+    padded = integrator._resize(cut, n, pad)
+    for s in (built, stepped, cut, padded):
+        assert s.rows.shape == (3, s.a.shape[0]) and not s.rows.flags.writeable
+        for row, field in zip(s.rows, (s.a, s.u, s.theta)):
+            assert field.ctypes.data == row.ctypes.data and field.shape == row.shape
+            assert field.strides == row.strides and np.shares_memory(field, s.rows)
+            assert not field.flags.writeable
+    # run() writes its pad rows again after a record reads the padded state
+    assert np.shares_memory(padded.rows, pad) and pad.flags.writeable
+    np.testing.assert_array_equal(padded.rows[:, n - 100 :], 0.0)
+    np.testing.assert_array_equal(padded.rows[:, : n - 100], stepped.rows[:, : n - 100])
 
 
 def test_validate_reports_breach(grid):
@@ -147,7 +173,7 @@ def test_minus_one_exactly_is_a_breach(name):
     # fail, as any value below -1 does
     fields = {key: np.zeros(8) for key in ("a", "u", "theta")}
     fields[name][3] = -1.0
-    report = check_fields(**fields)
+    report = check_fields(np.stack([fields[key] for key in ("a", "u", "theta")]))
     assert report.all_finite
     assert not report.ok
     assert min(report.min_density, report.min_temperature) == 0.0
@@ -169,9 +195,9 @@ def count_checks(monkeypatch):
     """Count check_fields calls, through validate and from the step kernel."""
     calls = []
 
-    def counting(a, u, theta, rows=None):
-        calls.append(a.shape[0])
-        return check_fields(a, u, theta, rows)
+    def counting(rows):
+        calls.append(rows.shape[1])
+        return check_fields(rows)
 
     monkeypatch.setattr(state_module, "check_fields", counting)
     monkeypatch.setattr(integrator, "check_fields", counting)
@@ -242,6 +268,6 @@ class TestCheckOnce:
         assert not report.validity.ok
         assert validate(breached) is report.validity
         assert calls == []
-        assert report.validity == check_fields(breached.a, breached.u, breached.theta)
+        assert report.validity == check_fields(breached.rows)
         with pytest.raises(StateValidityError):
             step(breached, build_grid(10.0, 100), dt=0.01)

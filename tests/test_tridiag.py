@@ -124,6 +124,8 @@ def test_construction_validation():
             upper=np.zeros(3),
             rhs=np.zeros(3),
         )
+    with pytest.raises(ValueError, match="at least one row"):
+        TridiagonalSystem(*[np.zeros(0)] * 4)
 
 
 def test_identity_system():
