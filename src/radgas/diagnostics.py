@@ -154,13 +154,13 @@ def _running_max(sup: float, value: float) -> float:
 
 
 def _derivative_chain(
-    values: np.ndarray, parity: float, grid: RadialGrid, orders: int, out=None
+    values: np.ndarray, parity: float, grid: RadialGrid, orders: int, out
 ) -> list[np.ndarray]:
     """[f, f', f'', ...] up to the requested number of derivatives; ``out``
-    holds a buffer for each derivative, by default new ones."""
+    holds a buffer for each derivative."""
     chain = [values]
     for j in range(orders):
-        chain.append(derivative_array(chain[-1], parity, grid.dr, out and out[j]))
+        chain.append(derivative_array(chain[-1], parity, grid.dr, out[j]))
         parity = -parity
     return chain
 

@@ -77,8 +77,7 @@ from .state import (
     make_initial_state,
     validate,
 )
-from .tridiag import PREFIX_ROWS, certifies_prefix
-from .tridiag import tridiagonal_matvec, tridiagonal_solve
+from .tridiag import PREFIX_ROWS, certifies_prefix, tridiagonal_solve
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ def _diffusion_solve_arrays(
     1 + a > 0 and ``scheme`` is one of DIFFUSION_SCHEMES, which the caller
     guarantees.  Raises ValueError where rounding could lose dominance.
     ``out`` holds five buffers for the result (apart from theta_star), the
-    diagonals, which dgtsv overwrites, and the certificate; by default new.
+    diagonals, which dgtsv overwrites, and the Crank-Nicolson products, then
+    the certificate; by default new.
     """
     # Built in place; each operation keeps its operands, or swaps a
     # product's two factors, so the bits stay the same.
@@ -137,7 +137,9 @@ def _diffusion_solve_arrays(
         np.copyto(rhs, theta_star)
     else:
         weight = 0.5 * dt
-        tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star, rhs)
+        np.multiply(m_diag, theta_star, out=rhs)  # M theta*, a neighbour at a time
+        rhs[1:] += np.multiply(m_lower[1:], theta_star[:-1], out=tail[:-1])
+        rhs[:-1] += np.multiply(m_upper[:-1], theta_star[1:], out=tail[:-1])
         rhs *= 0.5 * dt
         np.add(theta_star, rhs, out=rhs)
     # Dominance in floating point: with m_lower, m_upper >= 0 and q =

@@ -3,7 +3,8 @@
 :func:`tridiagonal_solve` is the one LAPACK call site: it takes the three
 diagonals and a finite right-hand side as plain arrays and returns dgtsv's
 solution, its caller vouching for strict diagonal dominance.  The conduction
-half steps call it behind a scalar precondition (and :func:`certifies_prefix`
+half steps, which form their Crank-Nicolson right-hand side in their own
+scratch, call it behind a scalar precondition (and :func:`certifies_prefix`
 on a window); :func:`solve_tridiagonal` checks a system row by row first.
 ``dgtsv`` is scipy's own, from ``scipy/linalg/_flapack``, bound at the first solve
 without importing scipy, so a kappa = 0 run loads neither scipy nor its LAPACK.
@@ -38,16 +39,6 @@ def __getattr__(name: str, _lock=Lock()):
             scipy_dir = find_spec("scipy").submodule_search_locations[0]
             globals()[name] = _load_flapack(Path(scipy_dir, "linalg")).dgtsv
     return globals()[name]
-
-
-def tridiagonal_matvec(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, x: np.ndarray, out=None
-) -> np.ndarray:
-    """A x for A given by its diagonals (lower[0] and upper[-1] unused)."""
-    out = np.multiply(diag, x, out=out)
-    out[1:] += lower[1:] * x[:-1]
-    out[:-1] += upper[:-1] * x[1:]
-    return out
 
 
 def tridiagonal_solve(

@@ -2,19 +2,18 @@
 
 The derivative kernel ``derivative_array`` is tested directly.  The
 divergence du/dr + 2u/r is tested inside the convective right-hand side,
-the radial Laplacian inside the rows that conduction assembles, and
-higher derivatives through the diagnostics' derivative chain.
+the radial Laplacian in the conduction rows of the step's reference (which
+the kernel's rows equal bit for bit), and higher derivatives through the
+diagnostics' derivative chain.
 """
 
 import numpy as np
 import pytest
 
 from radgas import EVEN, ODD, PhysParams, State, build_grid, convective_rhs, step
-from radgas import integrator
-from radgas.config import CRANK_NICOLSON
 from radgas.diagnostics import MAX_DIAG_ORDER, DiagnosticsCollector, _derivative_chain
 from radgas.operators import derivative_array
-from radgas.tridiag import tridiagonal_matvec
+from test_step_reference import _apply_tridiagonal, conduction_rows
 
 
 def sample(grid, fn, parity):
@@ -49,29 +48,19 @@ def divergence(u, grid):
 
 
 def laplacian_rows(grid):
-    """(lower, diag, upper) of the Laplacian that conduction assembles.
-
-    These are the rows of M in M theta = kappa * lap(theta) / (1 + a) at
-    kappa = 1 and a = 0, taken from the Crank-Nicolson right-hand side,
-    which applies M to the input field.  The spy copies the rows, because
-    the solve goes on to scale them in place into I - weight * M.  It hands
-    the output buffer on: the right-hand side is built in it.
-    """
-    rows = []
-
-    def spy(lower, diag, upper, x, out=None):
-        rows.append((lower.copy(), diag.copy(), upper.copy()))
-        return tridiagonal_matvec(lower, diag, upper, x, out)
-
-    zero = np.zeros(grid.n_cells)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "tridiagonal_matvec", spy)
-        integrator._diffusion_solve_arrays(zero, zero, grid, 1.0, 1.0, CRANK_NICOLSON)
-    return rows[0]
+    """(lower, diag, upper) of the Laplacian that conduction assembles: the
+    rows of M in M theta = kappa * lap(theta) / (1 + a) at kappa = 1 and
+    a = 0, as the step's reference builds them.  The kernel's rows equal
+    them bit for bit: every step comparison in test_step_reference pins it."""
+    return conduction_rows(np.zeros(grid.n_cells), grid, 1.0)
 
 
 def laplacian(values, grid):
-    return tridiagonal_matvec(*laplacian_rows(grid), values)
+    return _apply_tridiagonal(*laplacian_rows(grid), values)
+
+
+def chain_buffers(grid, orders):
+    return [np.empty(grid.n_cells) for _ in range(orders)]
 
 
 def test_derivative_exact_on_linear_odd_field():
@@ -153,7 +142,7 @@ def test_zero_flux_at_origin():
     lower, diag, upper = laplacian_rows(g)
     assert lower[0] == 0.0
     assert diag[0] == -upper[0]
-    lap = tridiagonal_matvec(lower, diag, upper, np.full(64, 2.5))
+    lap = _apply_tridiagonal(lower, diag, upper, np.full(64, 2.5))
     assert lap[0] == 0.0
     np.testing.assert_allclose(lap, 0.0, rtol=0, atol=1e-13 * 2.5 * np.max(np.abs(diag)))
 
@@ -166,7 +155,7 @@ def test_higher_derivatives_against_closed_forms():
         errs = []
         for n in (600, 1200):
             g = build_grid(r_max=10.0, n_cells=n)
-            dk = _derivative_chain(gaussian(g), EVEN, g, k)[k]
+            dk = _derivative_chain(gaussian(g), EVEN, g, k, chain_buffers(g, k))[k]
             window = g.r < 5.0
             errs.append(np.max(np.abs(dk[window] - exact(g.r[window]))))
         assert errs[0] / errs[1] > tol_ratio, f"k={k}: ratio {errs[0]/errs[1]}"
@@ -176,7 +165,7 @@ def test_derivative_k_parity_bookkeeping():
     # the chain flips parity at every order: even, odd, even
     g = build_grid(r_max=2.0, n_cells=16)
     f = gaussian(g)
-    chain = _derivative_chain(f, EVEN, g, 2)
+    chain = _derivative_chain(f, EVEN, g, 2, chain_buffers(g, 2))
     assert chain[0] is f
     d1 = derivative_array(f, EVEN, g.dr)
     assert chain[1].tobytes() == d1.tobytes()
@@ -224,7 +213,7 @@ def test_parity_field_validation():
     # chain, which the diagnostics use for every derivative order
     g = build_grid(r_max=2.0, n_cells=16)
     with pytest.raises(ValueError, match="parity"):
-        _derivative_chain(gaussian(g), "diagonal", g, 2)
+        _derivative_chain(gaussian(g), "diagonal", g, 2, chain_buffers(g, 2))
 
 
 def test_length_mismatch_rejected():

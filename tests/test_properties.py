@@ -40,7 +40,8 @@ from radgas.integrator import (  # noqa: E402
 )
 from radgas.operators import EVEN, ODD, derivative_array  # noqa: E402
 from radgas.state import INIT_FAMILIES, PhysParams, make_initial_state  # noqa: E402
-from radgas.tridiag import tridiagonal_matvec, tridiagonal_solve  # noqa: E402
+from radgas.tridiag import tridiagonal_solve  # noqa: E402
+from test_step_reference import _apply_tridiagonal, conduction_rows  # noqa: E402
 
 EPS = np.finfo(float).eps
 #: The smallest subnormal, 2**-1074.  In the underflow range a rounded
@@ -157,7 +158,7 @@ def test_conduction_keeps_the_weighted_heat_content(inputs, dt, kappa, scheme):
         patch.setattr(integrator, "tridiagonal_solve", spy)
         theta_new, _ = _diffusion_solve_arrays(theta, a, grid, dt, kappa, scheme)
     [(lower, diag, upper, rhs)] = systems
-    ax = tridiagonal_matvec(lower, diag, upper, theta_new)
+    ax = _apply_tridiagonal(lower, diag, upper, theta_new)
     weight = grid.w * (1.0 + a)
     conductance = dt * kappa * grid.face_area / grid.dr
 
@@ -181,18 +182,12 @@ def row_guard_route(theta_star, a, grid, dt, kappa, scheme):
     """The conduction half-solve as it was guarded before the scalar
     precondition: the wall's face area zeroed in a copy, then the
     row-by-row dominance and finiteness checks ahead of dgtsv."""
-    area = grid.face_area.copy()
-    area[-1] = 0.0
-    c = kappa / ((1.0 + a) * grid.w * grid.dr)
-    m_lower = c * area[:-1]
-    m_upper = c * area[1:]
-    m_diag = -(m_lower + m_upper)
-    m_lower[0] = 0.0
+    m_lower, m_diag, m_upper = conduction_rows(a, grid, kappa)
     if scheme == BACKWARD_EULER:
         weight, rhs = dt, theta_star
     else:
         weight = 0.5 * dt
-        m_theta = tridiagonal_matvec(m_lower, m_diag, m_upper, theta_star)
+        m_theta = _apply_tridiagonal(m_lower, m_diag, m_upper, theta_star)
         rhs = theta_star + 0.5 * dt * m_theta
     lower, diag, upper = -weight * m_lower, 1.0 - weight * m_diag, -weight * m_upper
     slack = np.abs(diag) - (np.abs(lower) + np.abs(upper))

@@ -59,7 +59,9 @@ def _apply_tridiagonal(lower, diag, upper, x):
     return out
 
 
-def reference_diffusion(theta_star, a_frozen, grid, dt, kappa, scheme):
+def conduction_rows(a_frozen, grid, kappa):
+    """(lower, diag, upper) of M in M theta = kappa * lap(theta) / (1 + a),
+    zero flux through the origin and wall faces; the kernel's rows bit for bit."""
     area = grid.face_area.copy()
     area[-1] = 0.0
     c = kappa / ((1.0 + a_frozen) * grid.w * grid.dr)
@@ -67,6 +69,11 @@ def reference_diffusion(theta_star, a_frozen, grid, dt, kappa, scheme):
     m_upper = c * area[1:]
     m_diag = -(m_lower + m_upper)
     m_lower[0] = 0.0
+    return m_lower, m_diag, m_upper
+
+
+def reference_diffusion(theta_star, a_frozen, grid, dt, kappa, scheme):
+    m_lower, m_diag, m_upper = conduction_rows(a_frozen, grid, kappa)
     if scheme == BACKWARD_EULER:
         weight = dt
         rhs = theta_star
